@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -78,6 +79,24 @@ class JetCoordinate:
         return len(self.J) if self.kind == "fibre" else 0
 
 
+# Jet orders of recently walked composite subexpressions, one table for
+# all spaces: id(expr) -> (expr, space, order).  An entry answers only
+# for that very object (holding it keeps its id from being reused) and
+# that space instance (equal spaces may hold different registries).
+# Identity, not sympy's ==, is also exact where == is coarser than the
+# free symbols: Subs(f(x), x, 1) == Subs(f(x), x, 2).  The bound is fixed
+# and process-wide, since every entry keeps an otherwise dead subtree
+# alive; the memo pays off on subexpressions seen again shortly
+# (coefficients rebuilt into new forms).
+_ORDER_MEMO_SIZE = 1024
+_ORDER_MEMO: OrderedDict[int, tuple[sp.Basic, "JetSpace", int]] = \
+    OrderedDict()
+
+# free_symbols of a node whose class keeps Basic's definition is the
+# union of its args' free_symbols.
+_ARGS_UNION = sp.Basic.free_symbols
+
+
 def count_multiindices(n: int, k: int) -> int:
     """Number of canonical multi-indices of length k over 1..n."""
     if n < 1 or k < 0:
@@ -138,7 +157,7 @@ class JetSpace:
         if not 1 <= i <= self.n:
             raise ValueError("base index out of range: %r" % (i,))
         name = self.base_names[i - 1]
-        self._symbols.setdefault(name, JetCoordinate("base", i))
+        self._register(name, JetCoordinate("base", i))
         return sp.Symbol(name)
 
     def fibre_symbol(self, sigma: int, J: MultiIndex = MultiIndex()) -> sp.Symbol:
@@ -149,8 +168,20 @@ class JetSpace:
         name = self.fibre_names[sigma - 1]
         if len(J):
             name += "_" + "".join(self.base_names[i - 1] for i in J.entries)
-        self._symbols.setdefault(name, JetCoordinate("fibre", sigma, J))
+        self._register(name, JetCoordinate("fibre", sigma, J))
         return sp.Symbol(name)
+
+    def _register(self, name: str, coord: JetCoordinate) -> None:
+        """Bind a constructed symbol name to its coordinate (first wins).
+
+        A name that parsing alone would resolve differently (for bases
+        ``t, tt`` the name ``u_ttt`` has three parses and resolves to
+        None) changes meaning here, so the jet-order memo is cleared.
+        """
+        if name not in self._symbols:
+            if self._parse_name(name) != coord:
+                _ORDER_MEMO.clear()
+            self._symbols[name] = coord
 
     def symbol(self, coord: JetCoordinate) -> sp.Symbol:
         if coord.kind == "base":
@@ -200,12 +231,45 @@ class JetSpace:
         return self.coordinate_of(symbol) is not None
 
     def jet_order(self, expr: sp.Expr) -> int:
-        """Highest jet order among coordinates appearing in expr."""
-        order = 0
-        for s in sp.sympify(expr).free_symbols:
-            coord = self.coordinate_of(s)
-            if coord is not None:
-                order = max(order, coord.order)
+        """Highest jet order among coordinates appearing in expr.
+
+        Equals the maximum of ``coordinate_of(s).order`` over the
+        ``free_symbols`` of expr (0 when none resolve), computed by one
+        walk that memoizes composite subexpressions, by identity, in one
+        process-wide LRU table of at most 1024 entries.  The table is
+        cleared when ``base_symbol`` or ``fibre_symbol`` first registers
+        a name that parsing would resolve differently, the only event
+        that changes how a symbol resolves.
+        """
+        return self._order_of(sp.sympify(expr))
+
+    def _order_of(self, e: sp.Basic) -> int:
+        if e.is_Symbol:
+            coord = self.coordinate_of(e)
+            return 0 if coord is None else coord.order
+        if not e.args:
+            return 0
+        key = id(e)
+        hit = _ORDER_MEMO.get(key)
+        if hit is not None and hit[1] is self:
+            _ORDER_MEMO.move_to_end(key)
+            return hit[2]
+        if isinstance(e, sp.Derivative):
+            # the variables are bound: they count only inside e.expr
+            order = max(self._order_of(a) for a in
+                        (e.expr,) + tuple(c for _, c in e.variable_count))
+        elif type(e).free_symbols is _ARGS_UNION:
+            order = max(self._order_of(a) for a in e.args)
+        else:
+            # binds variables (Subs, Integral, Lambda, ...)
+            order = 0
+            for s in e.free_symbols:
+                coord = self.coordinate_of(s)
+                if coord is not None:
+                    order = max(order, coord.order)
+        _ORDER_MEMO[key] = (e, self, order)
+        if len(_ORDER_MEMO) > _ORDER_MEMO_SIZE:
+            _ORDER_MEMO.popitem(last=False)
         return order
 
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import sympy as sp
 
-from .jet_space import JetSpace, MultiIndex
+from .jet_space import JetSpace
 from . import symexpr
-from .forms import Dx, Form, Omega, form_to_json
+from .forms import Dx, Form, _atom_str, form_to_json
 from .dsl import ModelFile
 
 __all__ = [
@@ -31,16 +31,6 @@ def scalar_text(expr) -> str:
 
 def scalar_latex(expr) -> str:
     return symexpr.expr_to_latex(expr)
-
-
-def _atom_text(space: JetSpace, a) -> str:
-    if isinstance(a, Dx):
-        return "d(%s)" % space.base_names[a.i - 1]
-    name = space.fibre_names[a.sigma - 1]
-    if len(a.J):
-        return "w(%s,[%s])" % (name, ",".join(
-            space.base_names[i - 1] for i in a.J.entries))
-    return "w(%s)" % name
 
 
 def _atom_latex(space: JetSpace, a) -> str:
@@ -64,7 +54,7 @@ def form_text(rho: Form) -> str:
     bits = []
     for atoms in _sorted_terms(rho):
         coeff = "(%s)" % scalar_text(rho.terms[atoms])
-        atom_str = "^".join(_atom_text(rho.space, a) for a in atoms)
+        atom_str = "^".join(_atom_str(rho.space, a) for a in atoms)
         bits.append(coeff + (" * " + atom_str if atom_str else ""))
     return " + ".join(bits)
 

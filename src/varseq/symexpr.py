@@ -56,11 +56,15 @@ def partial(space: JetSpace, e: sp.Expr, c) -> sp.Expr:
 
 
 def _partial(e: sp.Expr, s: sp.Symbol) -> sp.Expr:
-    """Chain-rule partial derivative avoiding sympy's generic dispatch."""
-    if e.is_Number or s not in e.free_symbols:
-        return sp.Integer(0)
+    """Chain-rule partial derivative avoiding sympy's generic dispatch.
+
+    Branches free of s come out as 0 through Add dropping zeros and the
+    nonzero filters below, so no node is scanned for s beforehand.
+    """
     if e.is_Symbol:
         return sp.Integer(1) if e == s else sp.Integer(0)
+    if not e.args:
+        return sp.Integer(0)
     if isinstance(e, (AppliedUndef, sp.Derivative)):
         return _atom_partial(e, s)
     if e.is_Add:
@@ -134,16 +138,16 @@ def _atom_partial(e: sp.Expr, s: sp.Symbol) -> sp.Expr:
             and all(a.is_Symbol for a in base.args)
             and len(set(base.args)) == len(base.args)):
         if s not in base.args:
-            out = sp.Integer(0)
-        else:
-            vc: dict[sp.Symbol, int] = {}
-            if isinstance(e, sp.Derivative):
-                for v, c in e.variable_count:
-                    vc[v] = vc.get(v, 0) + int(c)
-            vc[s] = vc.get(s, 0) + 1
-            pairs = sorted(vc.items(),
-                           key=lambda p: sp.default_sort_key(p[0]))
-            out = sp.Derivative(base, *pairs, evaluate=False)
+            # not stored: _partial reaches every atom of a tree,
+            # including the many that do not depend on s
+            return sp.Integer(0)
+        vc: dict[sp.Symbol, int] = {}
+        if isinstance(e, sp.Derivative):
+            for v, c in e.variable_count:
+                vc[v] = vc.get(v, 0) + int(c)
+        vc[s] = vc.get(s, 0) + 1
+        pairs = sorted(vc.items(), key=lambda p: sp.default_sort_key(p[0]))
+        out = sp.Derivative(base, *pairs, evaluate=False)
     else:
         out = sp.diff(e, s)
     _PD_CACHE[key] = out

@@ -530,7 +530,7 @@ def test_criterion_9_bosonic_string():
         cfg = probe.ProbeConfig(seed=11, trials=20, bound=9, tolerance=1e-9)
 
         def accept(assignment):
-            return D.subs(assignment) < 0
+            return D.xreplace(assignment) < 0
 
         for i in (0, 1):
             lhs = sum(p[(i, mu)] * xj(mu, i) for mu in range(4))

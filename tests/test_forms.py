@@ -202,3 +202,16 @@ def test_degree_and_order_validation(mech):
         Form(mech, 1, {(Dx(1), Dx(1)): sp.Integer(1)})
     with pytest.raises(ValueError):
         Form(mech, 1, {(Dx(1),): sp.Symbol("q_t")}, order=0)
+
+
+@pytest.mark.parametrize("checked", [False, True])
+def test_order_and_atoms_validated_on_both_paths(mech, checked):
+    qt = sp.Symbol("q_t")
+    with pytest.raises(ValueError, match="below minimal order"):
+        Form(mech, 1, {(Dx(1),): qt}, order=0, _checked=checked)
+    with pytest.raises(ValueError, match="below minimal order"):
+        Form(mech, 1, {(Omega(1, MultiIndex((1,))),): sp.Integer(1)},
+             order=1, _checked=checked)
+    with pytest.raises(ValueError, match="atom outside space"):
+        Form(mech, 1, {(Dx(2),): sp.Integer(1)}, _checked=checked)
+    assert Form(mech, 1, {(Dx(1),): qt}, _checked=checked).order == 1

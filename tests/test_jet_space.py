@@ -1,6 +1,9 @@
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from varseq import jet_space
 from varseq.jet_space import (JetCoordinate, JetSpace, MultiIndex,
                               count_multiindices, enumerate_coordinates,
                               multiindices)
@@ -87,3 +90,95 @@ def test_enumerate_coordinates_count():
 def test_empty_fibre_rejected():
     with pytest.raises(ValueError):
         JetSpace(("t",), ())
+
+
+# jet_order: the memoized walk against the free_symbols definition
+
+_FIELD = JetSpace(("t", "x"), ("u", "v"))
+_JET = [_FIELD.symbol(c) for c in enumerate_coordinates(_FIELD, 3)]
+_T, _X, _U = _JET[:3]
+_U_X, _V_T, _U_TX = sp.symbols("u_x v_t u_tx")
+_F = sp.Function("F")(_T, _U, _U_X)
+_G = sp.Function("G")(_X, _V_T, _U_TX)
+_LEAVES = _JET + [
+    sp.Symbol("T"), sp.Symbol("k"),            # parameters
+    sp.Symbol("w_t"), sp.Symbol("u_q"),        # names outside the space
+    sp.Integer(2), sp.Rational(-3, 4), sp.pi,
+    _F, _G, sp.diff(_F, _U_X), sp.diff(_G, _U_TX, _V_T),
+    # a record whose variable occurs in no slot: bound, not free
+    sp.Derivative(_F, _JET[-1], evaluate=False),
+]
+
+
+def _free_symbols_order(space, e):
+    order = 0
+    for s in e.free_symbols:
+        coord = space.coordinate_of(s)
+        if coord is not None:
+            order = max(order, coord.order)
+    return order
+
+
+def _subs(e, var, point):
+    # sympy cannot sort sums of Subs whose variable is absent
+    return sp.Subs(e, var, point) if var in e.free_symbols else e
+
+
+def _extend(children):
+    pairs = st.tuples(children, children)
+    return st.one_of(
+        pairs.map(lambda p: p[0] + p[1]),
+        pairs.map(lambda p: p[0] * p[1]),
+        st.tuples(children, st.sampled_from([2, -1, sp.Rational(1, 2)]))
+        .map(lambda p: p[0] ** p[1]),
+        st.tuples(st.sampled_from([sp.sin, sp.exp, sp.sqrt]), children)
+        .map(lambda p: p[0](p[1])),
+        st.tuples(children, st.sampled_from(_JET), st.sampled_from(_LEAVES))
+        .map(lambda p: _subs(p[0] * p[1], p[1], p[2])),
+        st.tuples(children, st.sampled_from(_JET))
+        .map(lambda p: sp.Integral(p[0], (p[1], 0, 1))),
+    )
+
+
+_EXPRS = st.recursive(st.sampled_from(_LEAVES), _extend, max_leaves=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_EXPRS)
+def test_jet_order_matches_free_symbols_definition(e):
+    expected = _free_symbols_order(_FIELD, e)
+    assert _FIELD.jet_order(e) == expected
+    # again, now answered from the memo
+    assert _FIELD.jet_order(e) == expected
+
+
+def test_jet_order_follows_symbol_registration():
+    # u_ttt parses as t.t.t, t.tt and tt.t, so it resolves to nothing
+    # until the space itself names it
+    space = JetSpace(("t", "tt"), ("u",))
+    u_ttt = sp.Symbol("u_ttt")
+    e = sp.Symbol("T") * u_ttt + 1
+    assert space.jet_order(u_ttt) == 0
+    assert space.jet_order(e) == 0
+    assert space.fibre_symbol(1, MultiIndex((1, 2))) == u_ttt
+    assert space.jet_order(u_ttt) == 2
+    assert space.jet_order(e) == 2
+
+
+def test_jet_order_exact_where_sympy_equality_is_coarse():
+    # sympy compares Subs without the points of the variables the
+    # expression uses, so these two compare equal; their orders differ
+    T = sp.Symbol("T")
+    a = sp.Subs(_U_X * T, _U_X, sp.Symbol("u_t"))
+    b = sp.Subs(_U_X * T, _U_X, _T)
+    assert (_FIELD.jet_order(a), _FIELD.jet_order(b)) == (1, 0)
+    assert (_FIELD.jet_order(a + 1), _FIELD.jet_order(b + 1)) == (1, 0)
+
+
+def test_jet_order_memo_stays_bounded():
+    space = JetSpace(("t",), ("q",))
+    syms = [space.symbol(c) for c in enumerate_coordinates(space, 3)]
+    for k in range(2 * jet_space._ORDER_MEMO_SIZE):
+        e = (k + 2) * syms[k % 5] * syms[(k + 1) % 5] + syms[0]
+        assert space.jet_order(e) == _free_symbols_order(space, e)
+    assert 0 < len(jet_space._ORDER_MEMO) <= jet_space._ORDER_MEMO_SIZE

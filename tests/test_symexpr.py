@@ -2,7 +2,8 @@ import random
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from sympy.core.function import AppliedUndef
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from varseq import symexpr
@@ -121,3 +122,73 @@ def test_canonicalize_idempotent(mech):
     c = symexpr.canonicalize(e)
     assert symexpr.canonicalize(c) == c
     assert sp.expand(c - e) == 0
+
+
+# partial: the chain-rule walk against sympy's diff
+
+_SPACE = JetSpace(("t", "x"), ("v", "w"))
+_SYMS = list(sp.symbols("t x v w v_t v_x w_t v_tx w_tt T"))
+_t, _x, _v, _w, _v_t, _v_x = _SYMS[:6]
+_F = sp.Function("F")(_t, _v, _v_x)
+_G = sp.Function("G")(_x, _w, _v_t)
+_LEAVES = [s for s in _SYMS if s.name != "w_tt"] + [
+    sp.Integer(3), sp.Rational(-1, 2),
+    _F, _G, sp.diff(_F, _v_x), sp.diff(_G, _v_t, _w, _w)]
+
+
+def _combine(children):
+    pairs = st.tuples(children, children)
+    return st.one_of(
+        pairs.map(lambda p: p[0] + p[1]),
+        pairs.map(lambda p: p[0] * p[1]),
+        st.tuples(children,
+                  st.sampled_from([2, 3, -1, sp.Rational(1, 2),
+                                   sp.Rational(-3, 2), _SYMS[-1]]))
+        .map(lambda p: p[0] ** p[1]),
+        st.tuples(st.sampled_from([sp.sin, sp.cos, sp.exp, sp.log,
+                                   sp.sqrt]), children)
+        .map(lambda p: p[0](p[1])),
+    )
+
+
+def _same_function(a, b, points=3) -> bool:
+    """a == b after expansion, or at random positive points.
+
+    Distinct rewritings of one power (t/sqrt(t**2) and sqrt(t**2)/t, or
+    t*(t**2)**(T - 1) and (t**2)**T/t) survive expansion, so the points
+    decide there.  Opaque atoms and derivative records become independent
+    positive variables.
+    """
+    if sp.expand(a - b) == 0:
+        return True
+    kinds = (sp.Derivative, AppliedUndef)
+    rep = {f: sp.Dummy(positive=True)
+           for f in a.atoms(*kinds) | b.atoms(*kinds)}
+    a, b = a.xreplace(rep), b.xreplace(rep)
+    rng = random.Random(0)
+    names = sorted(a.free_symbols | b.free_symbols, key=sp.default_sort_key)
+    for _ in range(points):
+        at = {v: sp.Rational(k, 100)
+              for v, k in zip(names, rng.sample(range(50, 200), len(names)))}
+        va = complex(a.xreplace(at).evalf(30))
+        vb = complex(b.xreplace(at).evalf(30))
+        if abs(va - vb) > 1e-12 * max(1.0, abs(va), abs(vb)):
+            return False
+    return True
+
+
+_ABSENT = sp.sqrt(1 + _F**2) * sp.sin(_v) ** 3 + sp.diff(_F, _v_x) / _v
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.recursive(st.sampled_from(_LEAVES), _combine, max_leaves=10),
+       st.sampled_from(_SYMS))
+@example(_ABSENT, sp.Symbol("w_t"))
+@example(_ABSENT, sp.Symbol("T"))
+def test_partial_matches_sympy_diff(e, s):
+    assume(not e.has(sp.nan, sp.zoo, sp.oo, -sp.oo))
+    got = symexpr.partial(_SPACE, e, s)
+    assert _same_function(got, sp.diff(e, s))
+    if s not in e.free_symbols:
+        assert got is sp.S.Zero
+
