@@ -95,10 +95,6 @@ def _pick_field(model: dsl.ModelFile, name: Optional[str]):
     return model.fields[name]
 
 
-def _as_form(value) -> Form:
-    return value.form if isinstance(value, variational.SourceForm) else value
-
-
 def _verdict_str(verdict: Optional[bool]) -> str:
     return {True: "true", False: "false", None: "unknown"}[verdict]
 

@@ -9,11 +9,11 @@ Statements are ``;``-terminated::
     field X = D(q) + q * D(t);
 
 Form expressions combine scalars (rationals, parameters, coordinates,
-opaque calls, elementary functions) with the coframe atoms ``d(x)`` and
-``w(y,[J])`` through ``* / + - **`` and the wedge ``^``.  ``d`` of a
-fibre coordinate expands through the contact basis.  Multi-indices are
-bracketed base-name lists; unsorted input is canonicalized with a
-warning.
+constants such as ``pi`` and ``E``, opaque calls, elementary functions)
+with the coframe atoms ``d(x)`` and ``w(y,[J])`` through ``* / + - **``
+and the wedge ``^``.  ``d`` of a fibre coordinate expands through the
+contact basis.  Multi-indices are bracketed base-name lists; unsorted
+input is canonicalized with a warning.
 """
 
 from __future__ import annotations
@@ -375,6 +375,8 @@ class _Parser:
         if model.space.coordinate_of(sym) is not None \
                 or tok.text in model.params:
             return _Scalar(sym)
+        if isinstance(getattr(sp, tok.text, None), sp.NumberSymbol):
+            return _Scalar(getattr(sp, tok.text))  # pi, E, ...
         raise DslError("unknown identifier %r" % tok.text, tok.line, tok.col)
 
     def parse_opaque_call(self, tok: _Token) -> sp.Expr:

@@ -100,6 +100,20 @@ def _sort_atoms(atoms: Iterable[Atom]) -> Optional[tuple[tuple[Atom, ...], int]]
     return tuple(atoms), sign
 
 
+def _add_term(terms: dict, atoms: Iterable[Atom], coeff: sp.Expr,
+              *factors: sp.Expr) -> None:
+    """terms += sign * coeff * factors on the sorted atoms, where sign is
+    the sorting parity; a repeated atom makes the term vanish."""
+    srt = _sort_atoms(atoms)
+    if srt is None:
+        return
+    atoms, sign = srt
+    coeff = sign * coeff
+    for f in factors:
+        coeff = coeff * f
+    terms[atoms] = terms.get(atoms, 0) + coeff
+
+
 class Form:
     """A differential form on J^s Y in the contact-adapted coframe."""
 
@@ -290,11 +304,7 @@ def wedge(a: Form, b: Form) -> Form:
     terms: dict[tuple[Atom, ...], sp.Expr] = {}
     for atoms_a, ca in a.terms.items():
         for atoms_b, cb in b.terms.items():
-            srt = _sort_atoms(atoms_a + atoms_b)
-            if srt is None:
-                continue
-            atoms, sign = srt
-            terms[atoms] = terms.get(atoms, 0) + sign * ca * cb
+            _add_term(terms, atoms_a + atoms_b, ca, cb)
     return Form(a.space, a.degree + b.degree, terms,
                 order=max(a.order, b.order), _checked=True)
 
@@ -349,27 +359,19 @@ def exterior_d(rho: Form) -> Form:
     """Exterior derivative through the contact basis; order goes up by 1."""
     space = rho.space
     terms: dict[tuple[Atom, ...], sp.Expr] = {}
-
-    def emit(atoms: Iterable[Atom], coeff: sp.Expr) -> None:
-        srt = _sort_atoms(atoms)
-        if srt is None:
-            return
-        sorted_atoms, sign = srt
-        terms[sorted_atoms] = terms.get(sorted_atoms, 0) + sign * coeff
-
     for atoms, coeff in rho.terms.items():
         # d of the coefficient: d f = d_i f dx^i + (df/dy^sigma_J) omega^sigma_J
         for i in range(1, space.n + 1):
             di = symexpr.total_derivative(space, coeff, i)
             if di != 0:
-                emit((Dx(i),) + atoms, di)
+                _add_term(terms, (Dx(i),) + atoms, di)
         for s in sorted(coeff.free_symbols, key=sp.default_sort_key):
             coord = space.coordinate_of(s)
             if coord is None or coord.kind != "fibre":
                 continue
             dv = symexpr.partial(space, coeff, s)
             if dv != 0:
-                emit((Omega(coord.index, coord.J),) + atoms, dv)
+                _add_term(terms, (Omega(coord.index, coord.J),) + atoms, dv)
         # structure equation: d omega^sigma_J = -omega^sigma_{Jj} ^ dx^j
         for p, a in enumerate(atoms):
             if not isinstance(a, Omega):
@@ -379,7 +381,7 @@ def exterior_d(rho: Form) -> Form:
                 new = (atoms[:p]
                        + (Omega(a.sigma, a.J.append(j)), Dx(j))
                        + atoms[p + 1:])
-                emit(new, -koszul * coeff)
+                _add_term(terms, new, -koszul * coeff)
     return Form(space, rho.degree + 1, terms,
                 order=rho.order + 1, _checked=True)
 

@@ -223,7 +223,7 @@ def symmetry_check(X: Union[ProjectableVectorField, ProlongedVectorField],
                    ) -> Optional[bool]:
     """Exact-zero test of the Lie derivative (class level for source
     forms); None means the verdict needs numeric probing."""
-    form = sigma.form if isinstance(sigma, variational.SourceForm) else sigma
+    form = variational._as_form(sigma)
     L = lie_derivative(X, form)
     if form.degree > form.space.n:
         L = variational.interior_euler(L).form
@@ -289,8 +289,8 @@ def nbh_current(X: Union[ProjectableVectorField, ProlongedVectorField],
     the Tonti Lagrangian lambda = h(A eps): the boundary current of the
     first variation minus a primitive of L_{J Xi} lambda.
     """
-    space = eps.space if isinstance(eps, variational.SourceForm) else eps.space
-    form = eps.form if isinstance(eps, variational.SourceForm) else eps
+    space = eps.space
+    form = variational._as_form(eps)
     if form.degree != space.n + 1:
         raise ValueError("expects a dynamical form")
     if not variational.helmholtz(form).is_zero():

@@ -7,6 +7,16 @@ fixed tuple of jet coordinates, with derivatives kept as ``Derivative``
 records).  All coefficients are exact rationals; canonicalization is a
 shallow expand, and semantic equality beyond polynomial closure is
 delegated to the probe module.
+
+The partials and the total derivatives d_i are one chain-rule walker,
+given the derivation's values on symbols: numbers and constants such as
+pi map to 0; an opaque atom or derivative record over distinct symbol
+slots to the sum over its slots of D(slot) times its merged derivative
+record; Add, Mul, Pow and functions (opaque atoms with expression slots
+too, through ``fdiff``) by the chain rule; any other node (Subs,
+Integral, ...) to the sum over its free symbols x of D(x) sp.diff(e, x).
+One memo table of fixed size, wiped when full, keeps d_i of composite
+nodes and the partials of atoms.
 """
 
 from __future__ import annotations
@@ -32,9 +42,6 @@ __all__ = [
     "expr_to_latex",
 ]
 
-_ELEMENTARY = (sp.sin, sp.cos, sp.exp, sp.log)
-
-
 def opaque(name: str, *slots: sp.Symbol) -> sp.Expr:
     """An opaque function atom with the given argument slots."""
     return sp.Function(name)(*slots)
@@ -49,161 +56,139 @@ def _as_symbol(space: JetSpace, c) -> sp.Symbol:
 def partial(space: JetSpace, e: sp.Expr, c) -> sp.Expr:
     """Partial derivative with respect to a single coordinate.
 
-    On opaque atoms this increments the matching slot's derivative
-    record; differentiation with respect to an undeclared slot gives 0.
+    The walker's derivation with D(c) = 1 and D = 0 on other symbols: on
+    an opaque atom it increments the matching slot's derivative record,
+    and an undeclared slot gives 0.  Only atom partials are memoized.
     """
-    return _partial(sp.sympify(e), _as_symbol(space, c))
-
-
-def _partial(e: sp.Expr, s: sp.Symbol) -> sp.Expr:
-    """Chain-rule partial derivative avoiding sympy's generic dispatch.
-
-    Branches free of s come out as 0 through Add dropping zeros and the
-    nonzero filters below, so no node is scanned for s beforehand.
-    """
-    if e.is_Symbol:
-        return sp.Integer(1) if e == s else sp.Integer(0)
-    if not e.args:
-        return sp.Integer(0)
-    if isinstance(e, (AppliedUndef, sp.Derivative)):
-        return _atom_partial(e, s)
-    if e.is_Add:
-        return sp.Add(*[_partial(a, s) for a in e.args])
-    if e.is_Mul:
-        parts = []
-        args = e.args
-        for p, f in enumerate(args):
-            df = _partial(f, s)
-            if df != 0:
-                parts.append(sp.Mul(*args[:p], df, *args[p + 1:]))
-        return sp.Add(*parts)
-    if e.is_Pow:
-        base, expo = e.base, e.exp
-        out = sp.Integer(0)
-        db = _partial(base, s)
-        de = _partial(expo, s)
-        if db != 0:
-            out += expo * base ** (expo - 1) * db
-        if de != 0:
-            out += e * sp.log(base) * de
-        return out
-    if isinstance(e, sp.Function):
-        out = sp.Integer(0)
-        for p, a in enumerate(e.args, start=1):
-            da = _partial(a, s)
-            if da != 0:
-                out += e.fdiff(p) * da
-        return out
-    return sp.diff(e, s)
-
-
-_TD_CACHE: dict = {}
+    one = {_as_symbol(space, c): _ONE}
+    return _derive(sp.sympify(e), lambda x: one.get(x, _ZERO), None)
 
 
 def total_derivative(space: JetSpace, e: sp.Expr, i: int) -> sp.Expr:
     """The i-th total derivative d_i = partial_i + y^sigma_{Ji} d/dy^sigma_J.
 
-    Implemented as a chain-rule walk over the expression tree; sympy's
-    generic differentiation is invoked only on single opaque atoms (and
-    memoized), which keeps large sums of derivative records fast.
+    The walker's derivation with D(x^j) = delta_ij, D(y^sigma_J) =
+    y^sigma_{Ji} and 0 on parameters; memoized on composite nodes.
     """
-    e = sp.sympify(e)
-    key = (space, e, i)
-    cached = _TD_CACHE.get(key)
-    if cached is not None:
-        return cached
-    out = _td_walk(space, e, i)
-    if len(_TD_CACHE) > 100000:
-        _TD_CACHE.clear()
-    _TD_CACHE[key] = out
-    return out
-
-
-_PD_CACHE: dict = {}
-
-
-def _atom_partial(e: sp.Expr, s: sp.Symbol) -> sp.Expr:
-    """Partial derivative of a single opaque atom, memoized.
-
-    Builds the merged derivative record directly (matching sympy's
-    canonical variable ordering) instead of going through sp.diff,
-    which is an order of magnitude faster on derivative atoms.
-    """
-    key = (e, s)
-    cached = _PD_CACHE.get(key)
-    if cached is not None:
-        return cached
-    base = e.expr if isinstance(e, sp.Derivative) else e
-    if (isinstance(base, AppliedUndef)
-            and all(a.is_Symbol for a in base.args)
-            and len(set(base.args)) == len(base.args)):
-        if s not in base.args:
-            # not stored: _partial reaches every atom of a tree,
-            # including the many that do not depend on s
-            return sp.Integer(0)
-        vc: dict[sp.Symbol, int] = {}
-        if isinstance(e, sp.Derivative):
-            for v, c in e.variable_count:
-                vc[v] = vc.get(v, 0) + int(c)
-        vc[s] = vc.get(s, 0) + 1
-        pairs = sorted(vc.items(), key=lambda p: sp.default_sort_key(p[0]))
-        out = sp.Derivative(base, *pairs, evaluate=False)
-    else:
-        out = sp.diff(e, s)
-    _PD_CACHE[key] = out
-    return out
+    return _derive(sp.sympify(e), lambda x: _td_symbol(space, x, i),
+                   (space, i))
 
 
 def _td_symbol(space: JetSpace, s: sp.Symbol, i: int) -> sp.Expr:
     coord = space.coordinate_of(s)
     if coord is None:
-        return sp.Integer(0)
+        return _ZERO
     if coord.kind == "base":
-        return sp.Integer(1) if coord.index == i else sp.Integer(0)
+        return _ONE if coord.index == i else _ZERO
     return space.fibre_symbol(coord.index, coord.J.append(i))
 
 
-def _td_walk(space: JetSpace, e: sp.Expr, i: int) -> sp.Expr:
-    if e.is_Number:
-        return sp.Integer(0)
+_ZERO, _ONE = sp.S.Zero, sp.S.One
+# Keys ((space, i), node) for d_i, (slot, atom) for atom partials.
+# Partials of composite nodes would double the table and are seldom
+# asked for twice, and nodes left to sp.diff are never stored: sympy's
+# == on them can be coarser than the expression (Subs compares its
+# points by their printed names only).
+_MEMO_SIZE = 100_000
+_TD_CACHE: dict = {}
+
+
+def _remember(key, value: sp.Expr) -> sp.Expr:
+    if len(_TD_CACHE) >= _MEMO_SIZE:
+        _TD_CACHE.clear()
+    _TD_CACHE[key] = value
+    return value
+
+
+def _derive(e: sp.Expr, d_sym, key) -> sp.Expr:
+    """The derivation with values d_sym(x) on symbols, by the chain rule.
+
+    d_sym gives 0 and 1 as the singletons _ZERO and _ONE.  key names the
+    derivation in the memo table, or is None to store only atom
+    partials.  Branches it maps to 0 come out as 0 through Add dropping
+    zeros and the nonzero filters, so no node is scanned beforehand.
+    """
     if e.is_Symbol:
-        return _td_symbol(space, e, i)
-    if isinstance(e, (AppliedUndef, sp.Derivative)):
-        slots = e.args if isinstance(e, AppliedUndef) else e.expr.args
-        out = sp.Integer(0)
+        return d_sym(e)
+    if not e.args:
+        return _ZERO
+    if key is not None:
+        memo = (key, e)
+        out = _TD_CACHE.get(memo)
+        if out is not None:
+            return out
+    slots = _atom_slots(e)
+    if slots is not None:
+        parts = []
         for s in slots:
-            ds = _td_symbol(space, s, i)
-            if ds != 0:
-                out += _atom_partial(e, s) * ds
-        return out
-    if e.is_Add:
-        return sp.Add(*[total_derivative(space, a, i) for a in e.args])
-    if e.is_Mul:
+            ds = d_sym(s)
+            if ds is _ONE:
+                parts.append(_atom_partial(e, s))
+            elif ds is not _ZERO:
+                parts.append(_atom_partial(e, s) * ds)
+        out = sp.Add(*parts)
+    elif e.is_Add:
+        out = sp.Add(*[_derive(a, d_sym, key) for a in e.args])
+    elif e.is_Mul:
         parts = []
         args = e.args
         for p, f in enumerate(args):
-            df = total_derivative(space, f, i)
+            df = _derive(f, d_sym, key)
             if df != 0:
                 parts.append(sp.Mul(*args[:p], df, *args[p + 1:]))
-        return sp.Add(*parts)
-    if e.is_Pow:
+        out = sp.Add(*parts)
+    elif e.is_Pow:
         base, expo = e.base, e.exp
-        db = total_derivative(space, base, i)
-        de = total_derivative(space, expo, i)
-        out = sp.Integer(0)
+        out = _ZERO
+        db = _derive(base, d_sym, key)
+        de = _derive(expo, d_sym, key)
         if db != 0:
             out += expo * base ** (expo - 1) * db
         if de != 0:
             out += e * sp.log(base) * de
-        return out
-    if isinstance(e, sp.Function):
-        out = sp.Integer(0)
+    elif isinstance(e, sp.Function):
+        out = _ZERO
         for p, a in enumerate(e.args, start=1):
-            da = total_derivative(space, a, i)
+            da = _derive(a, d_sym, key)
             if da != 0:
                 out += e.fdiff(p) * da
+    else:
+        return sp.Add(*[dx * sp.diff(e, x) for x in e.free_symbols
+                        if (dx := d_sym(x)) != 0])
+    if key is not None:
+        _remember(memo, out)
+    return out
+
+
+def _atom_slots(e: sp.Expr) -> Optional[tuple]:
+    """The slots of an opaque atom or derivative record if they are
+    distinct symbols, else None."""
+    f = e.expr if isinstance(e, sp.Derivative) else e
+    if (isinstance(f, AppliedUndef) and all(a.is_Symbol for a in f.args)
+            and len(set(f.args)) == len(f.args)):
+        return f.args
+    return None
+
+
+def _atom_partial(e: sp.Expr, s: sp.Symbol) -> sp.Expr:
+    """d e/d s for an atom with distinct symbol slots, s one of them.
+
+    Builds the merged derivative record directly (matching sympy's
+    canonical variable ordering) instead of going through sp.diff,
+    which is an order of magnitude faster on derivative atoms.
+    """
+    key = (s, e)
+    out = _TD_CACHE.get(key)
+    if out is not None:
         return out
-    raise ValueError("cannot differentiate expression node: %r" % (e,))
+    vc: dict[sp.Symbol, int] = {}
+    if isinstance(e, sp.Derivative):
+        for v, c in e.variable_count:
+            vc[v] = vc.get(v, 0) + int(c)
+        e = e.expr
+    vc[s] = vc.get(s, 0) + 1
+    pairs = sorted(vc.items(), key=lambda p: sp.default_sort_key(p[0]))
+    return _remember(key, sp.Derivative(e, *pairs, evaluate=False))
 
 
 def total_derivative_multi(space: JetSpace, e: sp.Expr, J: MultiIndex) -> sp.Expr:
@@ -317,6 +302,8 @@ def expr_to_json(e: sp.Expr) -> object:
         return {"kind": "rational", "p": int(e.p), "q": int(e.q)}
     if e.is_Symbol:
         return {"kind": "symbol", "name": e.name}
+    if isinstance(e, sp.NumberSymbol):
+        return {"kind": "const", "name": str(e)}
     if isinstance(e, sp.Derivative):
         return {
             "kind": "derivative",
@@ -349,6 +336,11 @@ def expr_from_json(node: object) -> sp.Expr:
         return sp.Rational(node["p"], node["q"])
     if kind == "symbol":
         return sp.Symbol(node["name"])
+    if kind == "const":
+        c = getattr(sp, node["name"], None)
+        if not isinstance(c, sp.NumberSymbol):
+            raise ValueError("unknown constant: %r" % (node["name"],))
+        return c
     if kind == "add":
         return sp.Add(*[expr_from_json(a) for a in node["args"]])
     if kind == "mul":

@@ -61,6 +61,10 @@ class SourceForm:
         return "SourceForm<k=%d, %r>" % (self.k, self.form)
 
 
+def _as_form(x: SourceForm | Form) -> Form:
+    return x.form if isinstance(x, SourceForm) else x
+
+
 def _check_source_degree(rho: Form) -> int:
     k = rho.degree - rho.space.n
     if k < 1:
@@ -100,21 +104,13 @@ def _td_contact_form(G: Form, i: int) -> Form:
     """
     space = G.space
     terms: dict = {}
-
-    def emit(atoms, coeff):
-        srt = fm._sort_atoms(atoms)
-        if srt is None:
-            return
-        sorted_atoms, sign = srt
-        terms[sorted_atoms] = terms.get(sorted_atoms, 0) + sign * coeff
-
     for atoms, coeff in G.terms.items():
         di = symexpr.total_derivative(space, coeff, i)
         if di != 0:
-            emit(atoms, di)
+            fm._add_term(terms, atoms, di)
         for p, a in enumerate(atoms):
             bumped = atoms[:p] + (Omega(a.sigma, a.J.append(i)),) + atoms[p + 1:]
-            emit(bumped, coeff)
+            fm._add_term(terms, bumped, coeff)
     return Form(space, G.degree, terms, order=G.order + 1, _checked=True)
 
 
@@ -214,7 +210,7 @@ def euler_lagrange(lam: Form) -> SourceForm:
 
 def helmholtz(eps: SourceForm | Form) -> SourceForm:
     """The Helmholtz morphism H_eps = I(d eps) for a dynamical form."""
-    form = eps.form if isinstance(eps, SourceForm) else eps
+    form = _as_form(eps)
     if form.degree - form.space.n != 1:
         raise ValueError("helmholtz requires a dynamical form (k = 1)")
     return interior_euler(fm.exterior_d(form))
@@ -252,8 +248,7 @@ def is_lepage(rho: Form) -> Optional[bool]:
 
 def lepage_equivalent(sigma: SourceForm | Form) -> Form:
     """The distinguished Lepage equivalent theta_sigma (nu = mu = 0)."""
-    form = sigma.form if isinstance(sigma, SourceForm) else sigma
-    return cartan_form(form)
+    return cartan_form(_as_form(sigma))
 
 
 def _fibre_scale_integral(space: JetSpace, coeff: sp.Expr, kc: int) -> sp.Expr:
@@ -346,8 +341,8 @@ def is_variationally_trivial(sigma: SourceForm | Form,
     Lagrangians it is the horizontal part of A applied to the Cartan
     form, with d_H(primitive) = lambda verified.
     """
-    space = sigma.space if isinstance(sigma, SourceForm) else sigma.space
-    form = sigma.form if isinstance(sigma, SourceForm) else sigma
+    space = sigma.space
+    form = _as_form(sigma)
     n = space.n
     if form.degree == n:
         lam = fm.horizontalize(form)
@@ -484,7 +479,7 @@ def reduced_helmholtz_mechanics(eps: SourceForm | Form):
     Returns (H_bar as a SourceForm, witness eta) and verifies
     H_bar - H - p_2 d eta = 0 exactly.
     """
-    form = eps.form if isinstance(eps, SourceForm) else eps
+    form = _as_form(eps)
     space = form.space
     if space.n != 1:
         raise ValueError("reduced Helmholtz form is a mechanics construction")

@@ -169,7 +169,7 @@ def test_cli_unknown_form_is_usage_error(model_file, capsys):
     assert "nope" in err
 
 
-def test_cli_json_validates_against_schema(model_file, capsys):
+def _output_validator():
     from jsonschema import Draft202012Validator
     from referencing import Registry, Resource
     import pathlib
@@ -179,7 +179,11 @@ def test_cli_json_validates_against_schema(model_file, capsys):
     registry = Registry().with_resources([
         ("form.schema.json", Resource.from_contents(form_schema)),
     ])
-    validator = Draft202012Validator(out_schema, registry=registry)
+    return Draft202012Validator(out_schema, registry=registry)
+
+
+def test_cli_json_validates_against_schema(model_file, capsys):
+    validator = _output_validator()
     for call in [("el", "--form", "lam"), ("tonti", "--form", "eps"),
                  ("first-variation", "--form", "lam", "--field", "shift"),
                  ("lepage-check", "--form", "lam"),
@@ -198,3 +202,38 @@ def test_cli_warning_on_unsorted_multiindex(tmp_path, capsys):
     code, _, err = run_cli(capsys, "lepage-check", str(path))
     assert code == 0
     assert "canonicalized" in err
+
+
+CONSTANTS = """
+space { base t; fibre q; }
+form lam : degree 1 order 1 = exp(1) * q_t**2 * d(t);
+form mu : degree 1 order 1 = acos(0) * q * q_t**2 * d(t);
+"""
+
+
+def test_cli_named_constants_in_every_format(tmp_path, capsys):
+    from varseq import variational as vr
+    path = tmp_path / "constants.jv"
+    path.write_text(CONSTANTS)
+    model = dsl.parse(CONSTANTS)
+    validator = _output_validator()
+    header = "space { base t; fibre q; }\n"
+    for name in ("lam", "mu"):
+        lam = model.forms[name]
+        expected = {"el": vr.euler_lagrange(lam).form,
+                    "cartan": vr.cartan_form(lam)}
+        for command, want in expected.items():
+            for fmt in ("text", "latex", "json"):
+                code, out, err = run_cli(capsys, command, str(path),
+                                         "--form", name, "--format", fmt)
+                assert code == 0, (name, command, fmt, err)
+                if fmt == "json":
+                    payload = json.loads(out)
+                    assert not list(validator.iter_errors(payload))
+                    (node,) = payload["result"].values()
+                    back = fm.form_from_json(model.space, node)
+                    assert back.equals(want) is True
+                elif fmt == "text":
+                    doc = header + "form f : degree %d order %d = %s;" % (
+                        want.degree, want.order, out.strip())
+                    assert dsl.parse(doc).forms["f"].equals(want) is True

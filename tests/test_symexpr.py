@@ -107,7 +107,7 @@ def test_expr_json_round_trip(mech, slots):
     t, q, qt = slots
     L = symexpr.opaque("L", t, q, qt)
     exprs = [sp.Rational(3, 7), q**2 - qt / 2, sp.diff(L, qt),
-             sp.sqrt(1 + q**2), L * sp.diff(L, q, qt)]
+             sp.sqrt(1 + q**2), L * sp.diff(L, q, qt), sp.pi * q + sp.E]
     for e in exprs:
         node = symexpr.expr_to_json(e)
         back = symexpr.expr_from_json(node)
@@ -131,9 +131,10 @@ _SYMS = list(sp.symbols("t x v w v_t v_x w_t v_tx w_tt T"))
 _t, _x, _v, _w, _v_t, _v_x = _SYMS[:6]
 _F = sp.Function("F")(_t, _v, _v_x)
 _G = sp.Function("G")(_x, _w, _v_t)
+_H = sp.Function("H")(_t + _v)
 _LEAVES = [s for s in _SYMS if s.name != "w_tt"] + [
-    sp.Integer(3), sp.Rational(-1, 2),
-    _F, _G, sp.diff(_F, _v_x), sp.diff(_G, _v_t, _w, _w)]
+    sp.Integer(3), sp.Rational(-1, 2), sp.pi, sp.E,
+    _F, _G, sp.diff(_F, _v_x), sp.diff(_G, _v_t, _w, _w), _H]
 
 
 def _combine(children):
@@ -156,12 +157,12 @@ def _same_function(a, b, points=3) -> bool:
 
     Distinct rewritings of one power (t/sqrt(t**2) and sqrt(t**2)/t, or
     t*(t**2)**(T - 1) and (t**2)**T/t) survive expansion, so the points
-    decide there.  Opaque atoms and derivative records become independent
-    positive variables.
+    decide there.  Opaque atoms, derivative records and the Subs records
+    of atoms with expression slots become independent positive variables.
     """
     if sp.expand(a - b) == 0:
         return True
-    kinds = (sp.Derivative, AppliedUndef)
+    kinds = (sp.Subs, sp.Derivative, AppliedUndef)
     rep = {f: sp.Dummy(positive=True)
            for f in a.atoms(*kinds) | b.atoms(*kinds)}
     a, b = a.xreplace(rep), b.xreplace(rep)
@@ -180,9 +181,11 @@ def _same_function(a, b, points=3) -> bool:
 _ABSENT = sp.sqrt(1 + _F**2) * sp.sin(_v) ** 3 + sp.diff(_F, _v_x) / _v
 
 
+_EXPRS = st.recursive(st.sampled_from(_LEAVES), _combine, max_leaves=10)
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.recursive(st.sampled_from(_LEAVES), _combine, max_leaves=10),
-       st.sampled_from(_SYMS))
+@given(_EXPRS, st.sampled_from(_SYMS))
 @example(_ABSENT, sp.Symbol("w_t"))
 @example(_ABSENT, sp.Symbol("T"))
 def test_partial_matches_sympy_diff(e, s):
@@ -192,3 +195,61 @@ def test_partial_matches_sympy_diff(e, s):
     if s not in e.free_symbols:
         assert got is sp.S.Zero
 
+
+def _td_reference(e, i):
+    """d_i e = de/dx^i + sum y^sigma_{Ji} de/dy^sigma_J, through sp.diff."""
+    out = sp.Integer(0)
+    for x in e.free_symbols:
+        coord = _SPACE.coordinate_of(x)
+        if coord is None:
+            continue
+        if coord.kind == "fibre":
+            out += (_SPACE.fibre_symbol(coord.index, coord.J.append(i))
+                    * sp.diff(e, x))
+        elif coord.index == i:
+            out += sp.diff(e, x)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(_EXPRS, st.sampled_from([1, 2]))
+@example(_ABSENT, 1)
+def test_total_derivative_matches_sympy_diff(e, i):
+    assume(not e.has(sp.nan, sp.zoo, sp.oo, -sp.oo))
+    got = symexpr.total_derivative(_SPACE, e, i)
+    assert _same_function(got, _td_reference(e, i))
+
+
+def test_total_derivative_exact_where_sympy_equality_is_coarse():
+    space = JetSpace(("t", "x"), ("u", "v"))
+    T, t, u_t, u_x, u_tt = sp.symbols("T t u_t u_x u_tt")
+    # sympy compares Subs by the printed names of their points, so c == d
+    # although t_pos is another symbol than t; a memo keyed by == would
+    # answer for one with the other's total derivative
+    t_pos = sp.Symbol("t", positive=True)
+    c = sp.Subs(u_x**2, u_x, t)
+    d = sp.Subs(u_x**2, u_x, t_pos)
+    assert c == d
+    cases = [(sp.Subs(u_x * T, u_x, u_t), T * u_tt),
+             (sp.Subs(u_x * T, u_x, t), T), (c, 2 * t), (d, 2 * t_pos)]
+    for order in (cases, cases[::-1]):
+        symexpr._TD_CACHE.clear()
+        for e, expected in order:
+            got = symexpr.total_derivative(space, e, 1)
+            assert sp.expand(got.doit() - expected) == 0, (e, got)
+
+
+def test_memo_table_stays_bounded(monkeypatch):
+    monkeypatch.setattr(symexpr, "_MEMO_SIZE", 32)
+    L = symexpr.opaque("L", _t, _v, _v_t)
+    sizes = []
+    for k in range(60):
+        e = (k + 2) * L * _v_t**2 + k * _v * sp.diff(L, _v)
+        got = symexpr.total_derivative(_SPACE, e, 1)
+        assert sp.expand(got - _td_reference(e, 1)) == 0
+        got = symexpr.partial(_SPACE, e, _v_t)
+        assert sp.expand(got - sp.diff(e, _v_t)) == 0
+        sizes.append(len(symexpr._TD_CACHE))
+    assert 0 < max(sizes) <= 32
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))  # wiped when full
+    assert not hasattr(symexpr, "_PD_CACHE")

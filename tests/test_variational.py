@@ -31,6 +31,13 @@ def test_euler_lagrange_harmonic_oscillator(mech):
     assert sp.expand(coeff - (k * q + m * qtt)) == 0
 
 
+def test_euler_lagrange_with_named_constant(mech):
+    qt, qtt = sp.symbols("q_t q_tt")
+    el = vr.euler_lagrange(sp.exp(1) * qt**2 * fm.dx(mech, 1))
+    coeff = el.form.coefficient((Dx(1), Omega(1, MultiIndex())))
+    assert coeff == 2 * sp.E * qtt
+
+
 def test_euler_lagrange_wave_equation(field2):
     v = sp.Symbol("v")
     vt, vx = sp.Symbol("v_t"), sp.Symbol("v_x")
