@@ -8,6 +8,8 @@ Usage::
 
 Exit codes: 0 success, 1 parse/usage error, 2 mathematical
 precondition failure (e.g. ``tonti`` on a non-variational source form).
+A verdict the exact arithmetic cannot settle prints ``unknown`` and
+exits 0.
 """
 
 from __future__ import annotations
@@ -22,12 +24,6 @@ from . import forms as fm
 from .forms import Form
 
 __all__ = ["main", "run"]
-
-COMMANDS = (
-    "el", "helmholtz", "helmholtz-reduced", "cartan", "lepage-check",
-    "lepage", "tonti", "trivial", "noether", "first-variation", "lie",
-    "class-eq", "probe",
-)
 
 
 class UsageError(ValueError):
@@ -99,68 +95,90 @@ def _verdict_str(verdict: Optional[bool]) -> str:
     return {True: "true", False: "false", None: "unknown"}[verdict]
 
 
+def _helmholtz_reduced(args, model, rho) -> dict:
+    hbar, eta = variational.reduced_helmholtz_mechanics(rho)
+    return {"helmholtz_reduced": hbar.form, "witness_eta": eta}
+
+
+def _tonti(args, model, rho) -> dict:
+    verdict = variational.helmholtz(rho).form.is_zero()
+    if verdict is False:
+        raise ValueError("source form is not locally variational "
+                         "(nonzero Helmholtz form)")
+    if verdict is None:
+        return {"locally_variational": _verdict_str(None)}
+    lam = fm.horizontalize(variational.contact_homotopy(rho))
+    return {"tonti_lagrangian": lam}
+
+
+def _trivial(args, model, rho) -> dict:
+    flag, primitive = variational.is_variationally_trivial(rho)
+    out = {"trivial": _verdict_str(flag)}
+    if primitive is not None:
+        out["primitive"] = primitive
+    return out
+
+
+def _noether(args, model, rho, X) -> dict:
+    theta = rho
+    if rho.degree == rho.space.n:
+        theta = variational.cartan_form(rho)
+    current, full = prolong.noether_current(theta, X)
+    return {"noether_current": current}
+
+
+def _first_variation(args, model, rho, X) -> dict:
+    el, boundary, current = prolong.first_variation_split(rho, X)
+    return {"el_term": el, "boundary_term": boundary, "current": current}
+
+
+def _probe(args, model, a, b) -> dict:
+    cfg = probe.ProbeConfig(seed=args.seed, trials=args.probe_trials)
+    verdict = probe.forms_equal_probabilistic(a, b, cfg, params=model.params)
+    out = {"probe": verdict.status}
+    if verdict.witness is not None:
+        out["witness"] = {str(k): str(v) for k, v in verdict.witness.items()}
+    return out
+
+
+# command -> (number of --form operands, needs --field, handler); the
+# handler takes (args, model, *forms[, field]) and returns the result parts
+_TABLE = {
+    "el": (1, False, lambda args, model, rho: {
+        "euler_lagrange": variational.euler_lagrange(rho).form}),
+    "helmholtz": (1, False, lambda args, model, rho: {
+        "helmholtz": variational.helmholtz(rho).form}),
+    "helmholtz-reduced": (1, False, _helmholtz_reduced),
+    "cartan": (1, False, lambda args, model, rho: {
+        "cartan": variational.cartan_form(rho)}),
+    "lepage-check": (1, False, lambda args, model, rho: {
+        "is_lepage": _verdict_str(variational.is_lepage(rho))}),
+    "lepage": (1, False, lambda args, model, rho: {
+        "lepage_equivalent": variational.cartan_form(rho)}),
+    "tonti": (1, False, _tonti),
+    "trivial": (1, False, _trivial),
+    "noether": (1, True, _noether),
+    "first-variation": (1, True, _first_variation),
+    "lie": (1, True, lambda args, model, rho, X: {
+        "lie_derivative": prolong.lie_derivative(X, rho)}),
+    "class-eq": (2, False, lambda args, model, a, b: {
+        "classes_equal": _verdict_str(variational.classes_equal(a, b))}),
+    "probe": (2, False, _probe),
+}
+COMMANDS = tuple(_TABLE)
+
+
 def run(command: str, model: dsl.ModelFile, args) -> dict:
     """Dispatch a command; returns {label: form-or-string} result parts."""
-    if command in ("el", "helmholtz", "helmholtz-reduced", "cartan",
-                   "lepage-check", "lepage", "tonti", "trivial"):
-        (rho,) = _pick_forms(model, args.form, 1)
-        if args.order is not None:
-            rho = fm.lift(rho, args.order)
-        if command == "el":
-            return {"euler_lagrange": variational.euler_lagrange(rho).form}
-        if command == "helmholtz":
-            return {"helmholtz": variational.helmholtz(rho).form}
-        if command == "helmholtz-reduced":
-            hbar, eta = variational.reduced_helmholtz_mechanics(rho)
-            return {"helmholtz_reduced": hbar.form, "witness_eta": eta}
-        if command == "cartan":
-            return {"cartan": variational.cartan_form(rho)}
-        if command == "lepage-check":
-            return {"is_lepage": _verdict_str(variational.is_lepage(rho))}
-        if command == "lepage":
-            return {"lepage_equivalent": variational.lepage_equivalent(rho)}
-        if command == "tonti":
-            H = variational.helmholtz(rho).form
-            if not H.is_zero():
-                raise ValueError("source form is not locally variational "
-                                 "(nonzero Helmholtz form)")
-            lam = fm.horizontalize(variational.contact_homotopy(rho))
-            return {"tonti_lagrangian": lam}
-        if command == "trivial":
-            flag, primitive = variational.is_variationally_trivial(rho)
-            out = {"trivial": _verdict_str(flag)}
-            if primitive is not None:
-                out["primitive"] = primitive
-            return out
-    if command in ("noether", "first-variation", "lie"):
-        (rho,) = _pick_forms(model, args.form, 1)
-        X = _pick_field(model, args.field)
-        if command == "noether":
-            theta = rho
-            if rho.degree == rho.space.n:
-                theta = variational.cartan_form(rho)
-            current, full = prolong.noether_current(theta, X)
-            return {"noether_current": current}
-        if command == "first-variation":
-            el, boundary, current = prolong.first_variation_split(rho, X)
-            return {"el_term": el, "boundary_term": boundary,
-                    "current": current}
-        if command == "lie":
-            return {"lie_derivative": prolong.lie_derivative(X, rho)}
-    if command == "class-eq":
-        a, b = _pick_forms(model, args.form, 2)
-        return {"classes_equal": _verdict_str(variational.classes_equal(a, b))}
-    if command == "probe":
-        a, b = _pick_forms(model, args.form, 2)
-        cfg = probe.ProbeConfig(seed=args.seed, trials=args.probe_trials)
-        verdict = probe.forms_equal_probabilistic(
-            a, b, cfg, params=model.params)
-        out = {"probe": verdict.status}
-        if verdict.witness is not None:
-            out["witness"] = {str(k): str(v)
-                              for k, v in verdict.witness.items()}
-        return out
-    raise UsageError("unknown command %r" % command)
+    if command not in _TABLE:
+        raise UsageError("unknown command %r" % command)
+    count, needs_field, handler = _TABLE[command]
+    operands = _pick_forms(model, args.form, count)
+    if needs_field:
+        operands.append(_pick_field(model, args.field))
+    elif count == 1 and args.order is not None:
+        operands[0] = fm.lift(operands[0], args.order)
+    return handler(args, model, *operands)
 
 
 def _emit(command: str, result: dict, fmt: str) -> str:

@@ -252,6 +252,7 @@ class _Parser:
         except ValueError as exc:
             raise DslError("form %r violates declared order %d: %s"
                            % (name.text, order, exc), name.line, name.col)
+        _check_finite_real(value.terms.values(), "form", name)
         model.forms[name.text] = value
 
     def parse_field(self, tok: _Token) -> None:
@@ -270,6 +271,7 @@ class _Parser:
         if not (isinstance(value, _Scalar) and value.expr == 0):
             raise DslError("field %r must be a sum of <expr> * D(<coord>) "
                            "terms" % name.text, name.line, name.col)
+        _check_finite_real([*xi.values(), *Xi.values()], "field", name)
         try:
             model.fields[name.text] = ProjectableVectorField(space, xi, Xi)
         except ValueError as exc:
@@ -549,6 +551,16 @@ class _FieldTerm:
     def __init__(self, coord: JetCoordinate, coeff: sp.Expr) -> None:
         self.coord = coord
         self.coeff = coeff
+
+
+def _check_finite_real(coeffs, what: str, name: _Token) -> None:
+    """Reject what 1/0, 0/0 or sqrt(-1) leave in a coefficient: the
+    engine's scalars are finite and real."""
+    for coeff in coeffs:
+        if coeff.has(sp.I, *symexpr.NON_FINITE):
+            raise DslError("%s %r has a non-finite or non-real coefficient "
+                           "%s" % (what, name.text, coeff),
+                           name.line, name.col)
 
 
 def op_sign(op: _Token) -> int:

@@ -167,8 +167,17 @@ class Form:
                     raise ValueError("atom outside space: %r" % (a,))
         return out
 
-    def is_zero(self) -> bool:
-        return all(sp.expand(c) == 0 for c in self.terms.values())
+    def is_zero(self) -> Optional[bool]:
+        """Exact zero test: True, False, or None ("unknown") when some
+        coefficient is not rational-closed (see :func:`symexpr.equal`)."""
+        unknown = False
+        for coeff in self.terms.values():
+            verdict = symexpr.equal(coeff, 0)
+            if verdict is False:
+                return False
+            if verdict is None:
+                unknown = True
+        return None if unknown else True
 
     def canonical(self) -> "Form":
         """Expand all coefficients and prune zero terms."""
@@ -225,7 +234,7 @@ class Form:
     __rmul__ = __mul__
 
     def __repr__(self) -> str:
-        if self.is_zero():
+        if self.is_zero() is True:
             return "Form<0; degree %d, order %d>" % (self.degree, self.order)
         bits = []
         for atoms in sorted(self.terms, key=lambda t: [a.sort_key for a in t]):
@@ -242,15 +251,7 @@ class Form:
         """
         if self.space != other.space or self.degree != other.degree:
             return False
-        diff = self - other
-        unknown = False
-        for coeff in diff.terms.values():
-            verdict = symexpr.equal(coeff, 0)
-            if verdict is False:
-                return False
-            if verdict is None:
-                unknown = True
-        return None if unknown else True
+        return (self - other).is_zero()
 
 
 def _atom_str(space: JetSpace, a: Atom) -> str:
@@ -471,8 +472,8 @@ def contract(X: AdaptedVectorField, rho: Form) -> Form:
     return Form(rho.space, rho.degree - 1, terms, order=order, _checked=True)
 
 
-def is_strongly_contact(rho: Form) -> bool:
-    """p_{q-n} rho = 0, defined for degree q > n."""
+def is_strongly_contact(rho: Form) -> Optional[bool]:
+    """p_{q-n} rho = 0, defined for degree q > n; None means unknown."""
     k = rho.degree - rho.space.n
     if k <= 0:
         raise ValueError("strong contactness needs degree > n")

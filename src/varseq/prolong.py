@@ -287,23 +287,28 @@ def nbh_current(X: Union[ProjectableVectorField, ProlongedVectorField],
 
     exactly, so the current is conserved along extremals.  Built from
     the Tonti Lagrangian lambda = h(A eps): the boundary current of the
-    first variation minus a primitive of L_{J Xi} lambda.
+    first variation minus a primitive of L_{J Xi} lambda.  Refuses only
+    a definitely nonzero Helmholtz form; when its verdict is unknown the
+    construction goes ahead, valid if eps is locally variational.
     """
     space = eps.space
     form = variational._as_form(eps)
     if form.degree != space.n + 1:
         raise ValueError("expects a dynamical form")
-    if not variational.helmholtz(form).is_zero():
+    if variational.helmholtz(form).is_zero() is False:
         raise ValueError("the source form is not locally variational")
     lam = fm.horizontalize(variational.contact_homotopy(form))
     el_term, boundary, current = first_variation_split(lam, X)
     L_lam = el_term + boundary
-    if L_lam.is_zero():
+    if L_lam.is_zero() is True:
         beta = fm.zero(space, space.n - 1, current.order)
     else:
         flag, beta = variational.is_variationally_trivial(L_lam)
-        if not flag:
+        if flag is False:
             raise ValueError("the field is not a class-level symmetry")
+        if flag is None:
+            raise ValueError("cannot decide whether the field is a "
+                             "class-level symmetry")
     out = current - beta
     # E-multiples: d_H(current - beta) = -Xi_V^sigma E_sigma omega_0
     Z = _prolonged(X, max(out.order + 1, 1))

@@ -42,6 +42,10 @@ __all__ = [
     "expr_to_latex",
 ]
 
+# Values no exact coefficient may hold: what 1/0, 0/0 or log(0) give.
+NON_FINITE = (sp.zoo, sp.oo, -sp.oo, sp.nan)
+
+
 def opaque(name: str, *slots: sp.Symbol) -> sp.Expr:
     """An opaque function atom with the given argument slots."""
     return sp.Function(name)(*slots)
@@ -231,6 +235,8 @@ def equal(e1: sp.Expr, e2: sp.Expr) -> Optional[bool]:
     diff = canonicalize(sp.sympify(e1) - sp.sympify(e2))
     if diff == 0:
         return True
+    if is_rational_closed(diff) and all(p.exp > 0 for p in diff.atoms(sp.Pow)):
+        return False  # a nonzero expanded polynomial over its atoms
     diff = sp.cancel(sp.together(diff))
     if diff == 0:
         return True

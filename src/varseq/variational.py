@@ -14,7 +14,7 @@ from typing import Optional
 
 import sympy as sp
 
-from .jet_space import JetSpace, MultiIndex, multiindices
+from .jet_space import JetSpace, MultiIndex
 from . import forms as fm
 from . import symexpr
 from .forms import Form, Omega, Dx
@@ -28,7 +28,6 @@ __all__ = [
     "reduced_helmholtz_mechanics",
     "cartan_form",
     "is_lepage",
-    "lepage_equivalent",
     "contact_homotopy",
     "is_variationally_trivial",
     "source_canonicalize",
@@ -54,7 +53,7 @@ class SourceForm:
     def space(self) -> JetSpace:
         return self.form.space
 
-    def is_zero(self) -> bool:
+    def is_zero(self) -> Optional[bool]:
         return self.form.is_zero()
 
     def __repr__(self) -> str:
@@ -225,7 +224,7 @@ def cartan_form(rho: Form, k: Optional[int] = None) -> Form:
         raise ValueError("contact degree must be >= 0")
     mu = fm.contact_component(rho, k)
     d_mu = fm.exterior_d(mu)
-    if fm.contact_component(d_mu, k + 1).is_zero():
+    if fm.contact_component(d_mu, k + 1).is_zero() is True:
         return mu
     R = residual(d_mu)
     return mu - fm.contact_component(R, k + 1)
@@ -244,11 +243,6 @@ def is_lepage(rho: Form) -> Optional[bool]:
     lhs = fm.contact_component(d_rho, k + 1)
     rhs = interior_euler(d_rho).form
     return lhs.equals(rhs)
-
-
-def lepage_equivalent(sigma: SourceForm | Form) -> Form:
-    """The distinguished Lepage equivalent theta_sigma (nu = mu = 0)."""
-    return cartan_form(_as_form(sigma))
 
 
 def _fibre_scale_integral(space: JetSpace, coeff: sp.Expr, kc: int) -> sp.Expr:
@@ -286,12 +280,6 @@ def contact_homotopy(rho: Form) -> Form:
         kc = rho.contact_count(atoms)
         if kc == 0:
             continue
-        for s in coeff.free_symbols:
-            coord = space.coordinate_of(s)
-            if coord is not None and coord.kind == "fibre":
-                if not coeff.is_polynomial(s):
-                    raise NonPolynomialError(
-                        "contact homotopy needs polynomial fibre dependence")
         weight = _fibre_scale_integral(space, coeff, kc)
         for p, a in enumerate(atoms):
             if not isinstance(a, Omega):
@@ -332,14 +320,38 @@ def classes_equal(a: Form, b: Form) -> Optional[bool]:
     return class_representative(a - b).equals(fm.zero(a.space, a.degree))
 
 
+def _base_primitive(rho: Form) -> Form:
+    """P(f omega0) = g omega_1 with g = int_0^{x^1} f dx^1, so that
+    d_H P(f omega0) = f omega0 for a purely base-dependent n-form."""
+    space = rho.space
+    x1 = space.base_symbol(1)
+    f = rho.coefficient(tuple(Dx(i) for i in range(1, space.n + 1)))
+    G = sp.integrate(f, x1)
+    g = G - G.subs(x1, 0)
+    if g.has(sp.Integral, sp.Piecewise, *symexpr.NON_FINITE):
+        raise NonPolynomialError("no closed-form primitive in %s from %s = 0 "
+                                 "of the base part %s" % (x1, x1, f))
+    return g * fm.omega_i(space, 1)
+
+
 def is_variationally_trivial(sigma: SourceForm | Form,
                              with_primitive: bool = True):
     """Triviality of the class of a Lagrangian or canonical source form.
 
-    Returns (flag, primitive-or-None).  For source forms the primitive
-    is the contact homotopy A(sigma) (a Tonti-style potential); for
-    Lagrangians it is the horizontal part of A applied to the Cartan
-    form, with d_H(primitive) = lambda verified.
+    Returns (flag, primitive-or-None), where flag is True, False or None
+    (unknown, from the exact zero test of E(lambda) or I(d sigma)); the
+    primitive is built only when flag is True.  For source forms it is
+    the contact homotopy A(sigma) (a Tonti-style potential).  For a
+    Lagrangian lambda with Cartan form theta it is
+
+        h(A theta) + P(chi_0^* lambda),
+
+    since E(lambda) = p_1 d theta = 0 and h d = d_H h turn the homotopy
+    formula into lambda = d_H h(A theta) + chi_0^* lambda, and P
+    integrates the base part f omega0 in x^1 from 0.  d_H(primitive) =
+    lambda is verified.  Raises NonPolynomialError when A meets
+    non-polynomial fibre dependence or the x^1-integral of f from 0 is
+    not a closed, finite, unconditional expression.
     """
     space = sigma.space
     form = _as_form(sigma)
@@ -347,84 +359,22 @@ def is_variationally_trivial(sigma: SourceForm | Form,
     if form.degree == n:
         lam = fm.horizontalize(form)
         trivial = euler_lagrange(lam).is_zero()
-        if not trivial or not with_primitive:
+        if trivial is not True or not with_primitive:
             return trivial, None
-        theta = cartan_form(lam)
-        primitive = fm.horizontalize(contact_homotopy(theta))
-        if fm.d_H(primitive).equals(lam) is not True:
-            primitive = _horizontal_primitive(lam)
+        primitive = (fm.horizontalize(contact_homotopy(cartan_form(lam)))
+                     + _base_primitive(base_restriction(lam)))
+        if fm.d_H(primitive).equals(lam) is False:
+            raise AssertionError("primitive verification failed "
+                                 "(internal error)")
         return True, primitive
     trivial = interior_euler(fm.exterior_d(form)).is_zero()
-    if not trivial or not with_primitive:
+    if trivial is not True or not with_primitive:
         return trivial, None
     primitive = contact_homotopy(form)
     check = interior_euler(fm.exterior_d(primitive)).form
     if check.equals(interior_euler(form).form) is not True:
         raise AssertionError("primitive verification failed (internal error)")
     return True, primitive
-
-
-def _monomial_basis(space: JetSpace, order: int, degree: int,
-                    extra_symbols=()) -> list[sp.Expr]:
-    symbols = [space.base_symbol(i) for i in range(1, space.n + 1)]
-    for k in range(order + 1):
-        for sigma in range(1, space.m + 1):
-            for J in multiindices(space.n, k):
-                symbols.append(space.fibre_symbol(sigma, J))
-    symbols.extend(extra_symbols)
-    basis = [sp.Integer(1)]
-    import itertools
-    for d in range(1, degree + 1):
-        for combo in itertools.combinations_with_replacement(symbols, d):
-            basis.append(sp.Mul(*combo))
-    return basis
-
-
-def _horizontal_primitive(lam: Form) -> Form:
-    """Solve d_H eta = lambda for a horizontal (n-1)-form by ansatz.
-
-    Only used for trivial Lagrangians with polynomial coefficients.
-    """
-    space = lam.space
-    order = lam.order
-    degree = 1 + max([sp.total_degree(c) if c.free_symbols else 0
-                      for c in lam.terms.values()] or [0])
-    params = sorted({s for c in lam.terms.values()
-                     for s in c.free_symbols
-                     if space.coordinate_of(s) is None},
-                    key=sp.default_sort_key)
-    basis = _monomial_basis(space, order, degree, params)
-    unknowns = []
-    eta = fm.zero(space, space.n - 1, order)
-    for i in range(1, space.n + 1):
-        coeff = sp.Integer(0)
-        for mono in basis:
-            a = sp.Dummy("a")
-            unknowns.append(a)
-            coeff += a * mono
-        eta = eta + fm.wedge(fm.scalar_form(space, coeff, order=order),
-                             fm.omega_i(space, i))
-    diff = fm.d_H(eta) - fm.lift(lam, order + 1)
-    eqs = []
-    gens = set()
-    for c in diff.terms.values():
-        poly_gens = [s for s in c.free_symbols if s not in unknowns]
-        gens.update(poly_gens)
-        eqs.append(c)
-    system = []
-    for c in eqs:
-        poly = sp.Poly(c, *sorted(gens, key=sp.default_sort_key)) \
-            if gens else sp.Poly(c, sp.Dummy())
-        system.extend(poly.coeffs())
-    sol = sp.solve(system, unknowns, dict=True)
-    if not sol:
-        raise ValueError("no polynomial primitive found")
-    assignment = sol[0]
-    free = {a: sp.Integer(0) for a in unknowns if a not in assignment}
-    full = dict(free)
-    for a, v in assignment.items():
-        full[a] = sp.sympify(v).xreplace(free)
-    return eta.map_coefficients(lambda c: sp.expand(c.xreplace(full)))
 
 
 @dataclass(frozen=True)

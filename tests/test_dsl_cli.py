@@ -237,3 +237,41 @@ def test_cli_named_constants_in_every_format(tmp_path, capsys):
                     doc = header + "form f : degree %d order %d = %s;" % (
                         want.degree, want.order, out.strip())
                     assert dsl.parse(doc).forms["f"].equals(want) is True
+
+
+@pytest.mark.parametrize("scalar", ["1/0", "sqrt(-1)"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cli_rejects_non_finite_or_non_real_coefficient(tmp_path, capsys,
+                                                        scalar, fmt):
+    path = tmp_path / "bad.jv"
+    path.write_text("space { base t; fibre q; }\n"
+                    "form lam : degree 1 order 1 = %s * q_t**2 * d(t);\n"
+                    % scalar)
+    code, out, err = run_cli(capsys, "el", str(path), "--format", fmt)
+    assert code == 1
+    assert out == ""
+    assert "line 2" in err and "non-finite or non-real" in err
+
+
+def test_parse_rejects_non_finite_field_component():
+    with pytest.raises(dsl.DslError, match="non-finite") as err:
+        dsl.parse("space { base t; fibre q; }\nfield X = 0/0 * D(q);")
+    assert err.value.line == 2
+
+
+HIDDEN_ZERO = """
+space { base t; fibre q; }
+form eps : degree 2 order 1 = (sin(q)**2 + cos(q)**2 - 1) * q_t * w(q)^d(t);
+"""
+
+
+def test_cli_tonti_unknown_verdict_exits_zero(tmp_path, capsys):
+    path = tmp_path / "hidden.jv"
+    path.write_text(HIDDEN_ZERO)
+    code, out, err = run_cli(capsys, "tonti", str(path))
+    assert (code, out.strip(), err) == (0, "unknown", "")
+    code, out, _ = run_cli(capsys, "tonti", str(path), "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["result"] == {"locally_variational": "unknown"}
+    assert not list(_output_validator().iter_errors(payload))

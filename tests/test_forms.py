@@ -162,6 +162,19 @@ def test_is_strongly_contact(mech):
     assert not fm.is_strongly_contact(fm.wedge(w, dt))
 
 
+def test_hidden_zero_is_unknown(mech):
+    q, qt = sp.symbols("q q_t")
+    one = sp.sin(q)**2 + sp.cos(q)**2
+    hidden = (one - 1) * qt * fm.wedge(fm.omega(mech, 1), fm.dx(mech, 1))
+    assert hidden.is_zero() is None
+    assert hidden.equals(fm.zero(mech, 2)) is None
+    assert fm.is_strongly_contact(hidden) is None
+    assert repr(hidden) != "Form<0; degree 2, order 1>"
+    # a definitely nonzero coefficient decides False despite the unknown one
+    other = q * fm.wedge(fm.omega(mech, 1, J1), fm.dx(mech, 1))
+    assert (hidden + other).is_zero() is False
+
+
 def test_form_json_round_trip(field2):
     rng = random.Random(17)
     rho = random_form(field2, 2, 2, rng)

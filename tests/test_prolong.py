@@ -131,6 +131,18 @@ def test_nbh_current_free_particle(mech, free_particle):
     assert multiples[1] == -1
 
 
+def test_nbh_current_falling_body_boost(mech):
+    t, qtt = sp.symbols("t q_tt")
+    m, g = sp.Rational(3, 2), sp.Rational(7, 4)
+    E = -m * qtt - m * g
+    eps = E * fm.wedge(fm.omega(mech, 1), fm.dx(mech, 1))
+    X = pr.ProjectableVectorField(mech, {}, {1: t})
+    current, multiples = pr.nbh_current(X, eps)
+    E_sigma = eps.coefficient((fm.Omega(1), fm.Dx(1)))
+    rhs = multiples[1] * E_sigma * fm.omega0(mech)
+    assert fm.d_H(current).equals(rhs) is True
+
+
 def test_nbh_rejects_non_variational(mech):
     qt, qtt = sp.symbols("q_t q_tt")
     eps = (qtt + qt) * fm.wedge(fm.omega(mech, 1), fm.dx(mech, 1))

@@ -140,7 +140,7 @@ def test_first_order_lagrangian_not_lepage(mech):
 def test_lepage_equivalent_of_dynamical_form(mech):
     q, qtt = sp.symbols("q q_tt")
     eps = (qtt + q) * fm.wedge(fm.omega(mech, 1), fm.dx(mech, 1))
-    theta = vr.lepage_equivalent(eps)
+    theta = vr.cartan_form(eps)
     assert vr.is_lepage(theta) is True
     # p_1 of the equivalent reproduces the source form
     assert fm.contact_component(theta, 1).equals(
@@ -181,6 +181,54 @@ def test_variationally_trivial_lagrangian(mech):
     assert fm.d_H(primitive).equals(fm.lift(lam, primitive.order + 1)) is True
     flag, _ = vr.is_variationally_trivial(qt**2 * fm.dx(mech, 1))
     assert flag is False
+
+
+_T, _X, _Q, _U = sp.symbols("t x q u")
+_MECH = JetSpace(("t",), ("q",))
+_PLANE = JetSpace(("t", "x"), ("u",))
+
+
+@pytest.mark.parametrize("lam", [
+    (sp.Symbol("q_t") + sp.sin(_T)) * fm.dx(_MECH, 1),
+    fm.d_H((_U + sp.exp(_X) * _T**2) * fm.omega_i(_PLANE, 1)),
+    fm.d_H(fm.scalar_form(_MECH, _Q**2 * _T + _T**3 / 3, order=0)),
+    fm.d_H((_U * _X + _T**2 * _X) * fm.omega_i(_PLANE, 1)
+           + (_U * _T + _X**3 + _T) * fm.omega_i(_PLANE, 2)),
+], ids=["trig-base", "exp-base-2d", "poly-base-1d", "poly-base-2d"])
+def test_trivial_lagrangian_primitive_from_homotopy(lam):
+    # h(A theta) + P(chi_0^* lambda), with the base part integrated in x^1
+    flag, primitive = vr.is_variationally_trivial(lam)
+    assert flag is True
+    assert fm.d_H(primitive).equals(lam) is True
+
+
+@pytest.mark.parametrize("base_part", [
+    sp.exp(-_T**2) * sp.sin(_T)**3,   # integral left unevaluated
+    1 / _T**2,                        # diverges at t = 0
+    sp.exp(sp.Symbol("a") * _T),      # primitive depends on a = 0 or not
+], ids=["no-closed-form", "singular-at-0", "conditional"])
+def test_trivial_lagrangian_base_part_refused(base_part):
+    lam = (sp.Symbol("q_t") + base_part) * fm.dx(_MECH, 1)
+    with pytest.raises(vr.NonPolynomialError, match="base part"):
+        vr.is_variationally_trivial(lam)
+
+
+@pytest.mark.parametrize("coeff", [
+    "1/q", "sqrt(q)", "q**(1/3)", "sin(q)", "exp(q)", "log(q)", "Abs(q)",
+    "q**t", "a**q", "F(q)", "sqrt(q**2)", "q_t/(q**2+1)", "1/(q+t)",
+    "sin(q)**2+cos(q)**2",
+])
+def test_contact_homotopy_refuses_non_polynomial_fibre_dependence(coeff):
+    expr = sp.sympify(coeff, locals={"F": sp.Function("F")})
+    rho = expr * fm.wedge(fm.omega(_MECH, 1), fm.dx(_MECH, 1))
+    with pytest.raises(vr.NonPolynomialError, match="polynomial fibre"):
+        vr.contact_homotopy(rho)
+
+
+def test_contact_homotopy_accepts_non_polynomial_base_dependence():
+    rho = _Q * sp.sin(_T) * fm.wedge(fm.omega(_MECH, 1), fm.dx(_MECH, 1))
+    expected = _Q**2 * sp.sin(_T) / 2 * fm.dx(_MECH, 1)
+    assert vr.contact_homotopy(rho).equals(expected) is True
 
 
 def test_classes_equal_modulo_contact(mech):
