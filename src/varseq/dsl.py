@@ -6,14 +6,20 @@ Statements are ``;``-terminated::
     param m k;
     opaque L(t, q, q_t);
     form lambda : degree 1 order 1 = (1/2 * m * q_t**2 - k*q**2) * d(t);
-    field X = D(q) + q * D(t);
+    field X = q * D(q) + 2 * t * D(t);
 
 Form expressions combine scalars (rationals, parameters, coordinates,
-constants such as ``pi`` and ``E``, opaque calls, elementary functions)
-with the coframe atoms ``d(x)`` and ``w(y,[J])`` through ``* / + - **``
-and the wedge ``^``.  ``d`` of a fibre coordinate expands through the
-contact basis.  Multi-indices are bracketed base-name lists; unsorted
-input is canonicalized with a warning.
+constants such as ``pi`` and ``E``, opaque calls, the functions of
+``symexpr.FUNCTIONS``) with the coframe atoms ``d(x)`` and ``w(y,[J])``
+through ``* / + - **`` and the wedge ``^``.  ``d`` of a fibre coordinate
+expands through the contact basis.  Multi-indices are bracketed
+base-name lists; unsorted input is canonicalized with a warning.
+
+A field body is a scalar in which ``D(x)`` stands for the direction
+d/dx of a base or fibre coordinate x.  It must be linear in the
+directions with no other term, a sum of ``<expr> * D(<coord>)`` terms;
+the component on ``D(x)`` is the body's derivative by that direction,
+and components on base directions may depend on base coordinates only.
 """
 
 from __future__ import annotations
@@ -27,10 +33,10 @@ import sympy as sp
 from .jet_space import JetCoordinate, JetSpace, MultiIndex
 from . import forms as fm
 from . import symexpr
-from .forms import Dx, Dy, Form
+from .forms import Form
 from .prolong import ProjectableVectorField
 
-__all__ = ["DslError", "ModelFile", "parse", "parse_file"]
+__all__ = ["DslError", "ModelFile", "parse"]
 
 
 class DslError(ValueError):
@@ -109,6 +115,8 @@ class _Parser:
         self.pos = 0
         self.model: Optional[ModelFile] = None
         self.warnings: list[str] = []
+        # coordinate -> direction symbol, inside a field declaration only
+        self.directions: Optional[dict[JetCoordinate, sp.Dummy]] = None
 
     # token plumbing
 
@@ -259,25 +267,28 @@ class _Parser:
         model = self.require_model(tok)
         name = self.expect_name()
         self.expect("=")
-        space = model.space
-        xi: dict[int, sp.Expr] = {}
-        Xi: dict[int, sp.Expr] = {}
-        self._field_components = (xi, Xi)
+        self.directions = directions = {}
         try:
-            value = self.settle_field_term(self.parse_expr())
+            body = self.parse_expr()
         finally:
-            self._field_components = None
+            self.directions = None
         self.expect(";")
-        if not (isinstance(value, _Scalar) and value.expr == 0):
-            raise DslError("field %r must be a sum of <expr> * D(<coord>) "
-                           "terms" % name.text, name.line, name.col)
-        _check_finite_real([*xi.values(), *Xi.values()], "field", name)
+        if not isinstance(body, _Scalar):
+            raise _not_a_field(name)
+        _check_finite_real([body.expr], "field", name)
+        components = {c: sp.diff(body.expr, D) for c, D in directions.items()}
+        linear = sum((v * directions[c] for c, v in components.items()),
+                     sp.Integer(0))
+        if sp.expand(body.expr - linear) != 0 or any(
+                v.has(*directions.values()) for v in components.values()):
+            raise _not_a_field(name)
+        xi = {c.index: v for c, v in components.items() if c.kind == "base"}
+        Xi = {c.index: v for c, v in components.items() if c.kind == "fibre"}
         try:
-            model.fields[name.text] = ProjectableVectorField(space, xi, Xi)
+            model.fields[name.text] = ProjectableVectorField(
+                model.space, xi, Xi)
         except ValueError as exc:
             raise DslError(str(exc), name.line, name.col) from exc
-
-    _field_components = None
 
     def parse_int(self) -> int:
         tok = self.next()
@@ -321,10 +332,6 @@ class _Parser:
             value = self.parse_unary()
             if isinstance(value, _Scalar):
                 return _Scalar(-value.expr)
-            if isinstance(value, _FieldDirection):
-                return _FieldTerm(value.coord, sp.Integer(-1))
-            if isinstance(value, _FieldTerm):
-                return _FieldTerm(value.coord, -value.coeff)
             return (-1) * value
         if self.peek().text == "+":
             self.next()
@@ -364,15 +371,14 @@ class _Parser:
                 return self.parse_D(tok)
         if tok.text in model.opaques:
             return _Scalar(self.parse_opaque_call(tok))
-        if self.peek().text == "(" and hasattr(sp, tok.text) \
-                and callable(getattr(sp, tok.text)):
+        if self.peek().text == "(" and tok.text in symexpr.FUNCTIONS:
             self.expect("(")
             arg = self.parse_expr()
             self.expect(")")
             if not isinstance(arg, _Scalar):
                 raise DslError("%s applies to scalars" % tok.text,
                                tok.line, tok.col)
-            return _Scalar(getattr(sp, tok.text)(arg.expr))
+            return _Scalar(symexpr.FUNCTIONS[tok.text](arg.expr))
         sym = sp.Symbol(tok.text)
         if model.space.coordinate_of(sym) is not None \
                 or tok.text in model.params:
@@ -417,9 +423,12 @@ class _Parser:
         space = self.model.space
         if coord.kind == "base":
             return fm.dx(space, coord.index)
-        return fm.ingest_coordinate_basis(
-            space, [(sp.Integer(1), (Dy(coord.index, coord.J),))],
-            len(coord.J))
+        # dy^sigma_J = omega^sigma_J + y^sigma_{Jj} dx^j
+        out = fm.omega(space, coord.index, coord.J)
+        for j in range(1, space.n + 1):
+            out = out + space.fibre_symbol(coord.index, coord.J.append(j)) \
+                * fm.dx(space, j)
+        return out
 
     def parse_multiindex(self, tok: _Token) -> MultiIndex:
         space = self.model.space
@@ -456,8 +465,8 @@ class _Parser:
         self.expect(")")
         return fm.omega(space, sigma, J)
 
-    def parse_D(self, tok: _Token) -> _Value:
-        if self._field_components is None:
+    def parse_D(self, tok: _Token) -> _Scalar:
+        if self.directions is None:
             raise DslError("D(...) is only valid in field declarations",
                            tok.line, tok.col)
         self.expect("(")
@@ -466,19 +475,14 @@ class _Parser:
         if coord.kind == "fibre" and len(coord.J):
             raise DslError("field components attach to d/dx^i and "
                            "d/dy^sigma only", tok.line, tok.col)
-        return _FieldDirection(coord)
+        if coord not in self.directions:
+            self.directions[coord] = sp.Dummy(
+                "D(%s)" % self.model.space.symbol(coord))
+        return _Scalar(self.directions[coord])
 
     # value combination
 
     def combine_add(self, a: _Value, b: _Value, op: _Token) -> _Value:
-        a = self.settle_field_term(a)
-        if op_sign(op) < 0 and isinstance(b, (_FieldDirection, _FieldTerm)):
-            if isinstance(b, _FieldDirection):
-                b = _FieldTerm(b.coord, sp.Integer(-1))
-            else:
-                b = _FieldTerm(b.coord, -b.coeff)
-            return self.settle_field_term(b)
-        b = self.settle_field_term(b)
         if isinstance(a, _Scalar) and isinstance(b, _Scalar):
             return _Scalar(a.expr + op_sign(op) * b.expr)
         if isinstance(a, Form) and isinstance(b, Form):
@@ -500,16 +504,6 @@ class _Parser:
             if isinstance(a, _Scalar):
                 return _Scalar(a.expr / b.expr)
             return a * (sp.Integer(1) / b.expr)
-        if isinstance(a, (_FieldDirection, _FieldTerm)) \
-                or isinstance(b, (_FieldDirection, _FieldTerm)):
-            if isinstance(a, _Scalar):
-                a, b = b, a
-            if isinstance(b, _Scalar):
-                if isinstance(a, _FieldDirection):
-                    return _FieldTerm(a.coord, b.expr)
-                return _FieldTerm(a.coord, a.coeff * b.expr)
-            raise DslError("field terms are <scalar> * D(<coord>)",
-                           op.line, op.col)
         if isinstance(a, _Scalar) and isinstance(b, _Scalar):
             return _Scalar(a.expr * b.expr)
         if isinstance(a, _Scalar):
@@ -527,30 +521,10 @@ class _Parser:
             raise DslError("wedge applies to forms", op.line, op.col)
         return fm.wedge(a, b)
 
-    def settle_field_term(self, v: _Value) -> _Value:
-        """Record a field term into the current field declaration."""
-        if isinstance(v, _FieldDirection):
-            v = _FieldTerm(v.coord, sp.Integer(1))
-        if isinstance(v, _FieldTerm):
-            xi, Xi = self._field_components
-            coord = v.coord
-            if coord.kind == "base":
-                xi[coord.index] = xi.get(coord.index, sp.Integer(0)) + v.coeff
-            else:
-                Xi[coord.index] = Xi.get(coord.index, sp.Integer(0)) + v.coeff
-            return _Scalar(sp.Integer(0))
-        return v
 
-
-class _FieldDirection:
-    def __init__(self, coord: JetCoordinate) -> None:
-        self.coord = coord
-
-
-class _FieldTerm:
-    def __init__(self, coord: JetCoordinate, coeff: sp.Expr) -> None:
-        self.coord = coord
-        self.coeff = coeff
+def _not_a_field(name: _Token) -> DslError:
+    return DslError("field %r must be a sum of <expr> * D(<coord>) terms"
+                    % name.text, name.line, name.col)
 
 
 def _check_finite_real(coeffs, what: str, name: _Token) -> None:
@@ -572,8 +546,3 @@ def parse(text: str) -> ModelFile:
     parser = _Parser(text)
     model = parser.parse_model()
     return model
-
-
-def parse_file(path: str) -> ModelFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())

@@ -22,7 +22,6 @@ from . import symexpr
 __all__ = [
     "Dx",
     "Omega",
-    "Dy",
     "Form",
     "AdaptedVectorField",
     "zero",
@@ -39,7 +38,6 @@ __all__ = [
     "d_V",
     "contract",
     "is_strongly_contact",
-    "ingest_coordinate_basis",
     "dx",
     "omega",
     "omega0",
@@ -70,14 +68,6 @@ class Omega:
     @property
     def sort_key(self):
         return (1, self.sigma, self.J.entries)
-
-
-@dataclass(frozen=True, order=True)
-class Dy:
-    """Coordinate-basis atom dy^sigma_J; input only (see ingest)."""
-
-    sigma: int
-    J: MultiIndex = MultiIndex()
 
 
 Atom = Union[Dx, Omega]
@@ -192,11 +182,6 @@ class Form:
 
     def contact_count(self, atoms: tuple[Atom, ...]) -> int:
         return sum(1 for a in atoms if isinstance(a, Omega))
-
-    def map_coefficients(self, fn) -> "Form":
-        return Form(self.space, self.degree,
-                    {a: fn(c) for a, c in self.terms.items()},
-                    order=None, _checked=True)
 
     def coefficient(self, atoms: Iterable[Atom]) -> sp.Expr:
         srt = _sort_atoms(atoms)
@@ -322,38 +307,6 @@ def lift(rho: Form, order: int) -> Form:
     if order < rho.order:
         raise ValueError("cannot lift to a lower order")
     return Form(rho.space, rho.degree, rho.terms, order=order, _checked=True)
-
-
-def ingest_coordinate_basis(space: JetSpace,
-                            terms: Iterable[tuple[sp.Expr, Iterable[Union[Dx, Dy]]]],
-                            r: int) -> Form:
-    """Re-express coordinate-basis terms over {dx, omega} on order r+1.
-
-    dy^sigma_J maps to omega^sigma_J + y^sigma_{Jj} dx^j; requires
-    |J| <= r.
-    """
-    out: Optional[Form] = None
-    for coeff, atoms in terms:
-        part = scalar_form(space, coeff)
-        for a in atoms:
-            if isinstance(a, Dx):
-                one_form = dx(space, a.i)
-            elif isinstance(a, Dy):
-                if len(a.J) > r:
-                    raise ValueError("dy with |J| > r cannot be ingested "
-                                     "at order %d" % (r,))
-                one_form = omega(space, a.sigma, a.J)
-                for j in range(1, space.n + 1):
-                    one_form = one_form + (
-                        space.fibre_symbol(a.sigma, a.J.append(j))
-                        * dx(space, j))
-            else:
-                raise ValueError("unsupported atom: %r" % (a,))
-            part = wedge(part, one_form)
-        out = part if out is None else out + part
-    if out is None:
-        raise ValueError("no terms to ingest")
-    return lift(out, max(out.order, r + 1))
 
 
 def exterior_d(rho: Form) -> Form:

@@ -227,9 +227,6 @@ class JetSpace:
                            for rest in self._parse_suffix(tail[len(base):]))
         return out
 
-    def is_jet_symbol(self, symbol: sp.Symbol) -> bool:
-        return self.coordinate_of(symbol) is not None
-
     def jet_order(self, expr: sp.Expr) -> int:
         """Highest jet order among coordinates appearing in expr.
 

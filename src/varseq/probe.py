@@ -131,11 +131,9 @@ def forms_equal_probabilistic(alpha: Form, beta: Form, cfg: ProbeConfig,
         return ProbeVerdict("unequal", {"__value__": "degree/space mismatch"})
     space = alpha.space
     diff = alpha - beta
-    order = max(diff.order, space.jet_order(sum(
-        (c for c in diff.terms.values()), sp.Integer(0))))
     for atoms, coeff in diff.terms.items():
         verdict = exprs_equal_probabilistic(
-            space, coeff, 0, cfg, order=order, params=params,
+            space, coeff, 0, cfg, order=diff.order, params=params,
             instantiations=instantiations, accept=accept)
         if verdict.status != "equal":
             if verdict.witness is not None:

@@ -45,6 +45,13 @@ __all__ = [
 # Values no exact coefficient may hold: what 1/0, 0/0 or log(0) give.
 NON_FINITE = (sp.zoo, sp.oo, -sp.oo, sp.nan)
 
+# The functions outside input (.jv text, JSON) may name: the elementary
+# functions, and sign and DiracDelta, which derivatives of Abs produce.
+FUNCTIONS = {f.__name__: f for f in (
+    sp.sqrt, sp.exp, sp.log, sp.sin, sp.cos, sp.tan, sp.asin, sp.acos,
+    sp.atan, sp.sinh, sp.cosh, sp.tanh, sp.asinh, sp.acosh, sp.atanh,
+    sp.Abs, sp.sign, sp.DiracDelta)}
+
 
 def opaque(name: str, *slots: sp.Symbol) -> sp.Expr:
     """An opaque function atom with the given argument slots."""
@@ -210,18 +217,28 @@ def canonicalize(e: sp.Expr) -> sp.Expr:
 def is_rational_closed(e: sp.Expr) -> bool:
     """True when e is a rational tree over its atoms.
 
-    Opaque atoms and their derivative records count as atoms; elementary
-    functions and non-integer powers break closure.
+    Symbols, opaque atoms, their derivative records, and the constants
+    sympy knows to be transcendental (pi, E) count as atoms.  Elementary
+    functions, non-integer powers, floats, other constants (GoldenRatio
+    is algebraic, Catalan unclassified), derivatives of anything but an
+    opaque atom, and nodes that bind variables (Integral, Subs, Lambda,
+    ...) break closure.
     """
-    e = sp.sympify(e)
-    for p in e.atoms(sp.Pow):
-        if not p.exp.is_Integer:
+    for node in sp.preorder_traversal(sp.sympify(e)):
+        if node.is_Pow:
+            if not node.exp.is_Integer:
+                return False
+        elif isinstance(node, sp.Function):
+            if not isinstance(node, AppliedUndef):
+                return False
+        elif isinstance(node, sp.Derivative):
+            if not isinstance(node.expr, AppliedUndef):
+                return False
+        elif isinstance(node, sp.NumberSymbol):
+            if node.is_transcendental is not True:
+                return False
+        elif node.is_Float or hasattr(node, "bound_symbols"):
             return False
-    for f in e.atoms(sp.Function):
-        if not isinstance(f, AppliedUndef):
-            return False
-    if e.atoms(sp.Float):
-        return False
     return True
 
 
@@ -355,7 +372,7 @@ def expr_from_json(node: object) -> sp.Expr:
         return sp.Pow(expr_from_json(node["base"]),
                       expr_from_json(node["exp"]))
     if kind == "func":
-        fn = getattr(sp, node["name"], None)
+        fn = FUNCTIONS.get(node["name"])
         if fn is None:
             raise ValueError("unknown function: %r" % (node["name"],))
         return fn(*[expr_from_json(a) for a in node["args"]])

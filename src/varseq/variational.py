@@ -47,7 +47,6 @@ class SourceForm:
 
     form: Form
     k: int
-    canonical: bool = False
 
     @property
     def space(self) -> JetSpace:
@@ -145,7 +144,7 @@ def interior_euler(rho: Form) -> SourceForm:
     mu = fm.contact_component(rho, k)
     result = fm.zero(space, rho.degree)
     if not mu.terms:
-        return SourceForm(result, k, canonical=True)
+        return SourceForm(result, k)
     F = _factor_omega0(mu)
     per_sigma: dict[int, Form] = {}
     for sigma, J, eta in _slot_decomposition(F, k):
@@ -154,7 +153,7 @@ def interior_euler(rho: Form) -> SourceForm:
             else per_sigma[sigma] + piece
     for sigma, total in per_sigma.items():
         result = result + _wedge_omega0(fm.wedge(fm.omega(space, sigma), total))
-    return SourceForm(result, k, canonical=True)
+    return SourceForm(result, k)
 
 
 def residual(rho: Form) -> Form:
@@ -470,4 +469,4 @@ def reduced_helmholtz_mechanics(eps: SourceForm | Form):
     if residue.equals(fm.zero(space, 3)) is not True:
         raise AssertionError("reduced Helmholtz relation failed "
                              "(internal error)")
-    return SourceForm(H_bar, 2, canonical=False), eta
+    return SourceForm(H_bar, 2), eta

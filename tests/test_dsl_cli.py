@@ -2,8 +2,10 @@ import json
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from varseq import cli, dsl, render
+from varseq import cli, dsl, render, symexpr
 from varseq import forms as fm
 from varseq.forms import Dx, Omega
 from varseq.jet_space import MultiIndex
@@ -63,6 +65,150 @@ def test_d_of_fibre_coordinate_expands_contact_basis():
     f = model.forms["f"]
     assert f.coefficient((Omega(1, MultiIndex()),)) == 1
     assert f.coefficient((Dx(1),)) == sp.Symbol("q_t")
+
+
+FIELD_HEADER = "space { base t; fibre q; }\nparam m;\n"
+
+
+@pytest.mark.parametrize("body, xi, Xi", [
+    ("(D(q) + D(t)) * 2", 2, 2),
+    ("-(D(q) + D(t))", -1, -1),
+    ("D(q) / 2", 0, sp.Rational(1, 2)),
+    ("-(D(q) + D(q))", 0, -2),
+    ("t * D(t) - m * q * D(q)", sp.Symbol("t"), sp.sympify("-m*q")),
+])
+def test_field_components_are_derivatives_by_direction(body, xi, Xi):
+    X = dsl.parse(FIELD_HEADER + "field X = %s;" % body).fields["X"]
+    assert (X.xi.get(1, 0), X.Xi.get(1, 0)) == (xi, Xi)
+
+
+@pytest.mark.parametrize("body", ["t - D(q)", "D(q) + 1", "sin(D(q))",
+                                  "D(q)**2", "D(q) * D(t)", "D(q) * d(t)"])
+def test_field_body_not_linear_in_directions_is_rejected(body):
+    with pytest.raises(dsl.DslError, match=r"field 'X' must be a sum of "
+                       r"<expr> \* D\(<coord>\) terms") as err:
+        dsl.parse(FIELD_HEADER + "field X = %s;" % body)
+    assert err.value.line == 3
+
+
+def test_direction_outside_field_is_rejected():
+    with pytest.raises(dsl.DslError,
+                       match="only valid in field declarations") as err:
+        dsl.parse(FIELD_HEADER + "form f : degree 1 order 1 = D(q) * d(t);")
+    assert err.value.line == 3
+
+
+@pytest.mark.parametrize("name", ["Symbol", "Matrix", "Poly", "Eq",
+                                  "Function", "Lambda", "Subs", "Integral",
+                                  "Derivative"])
+def test_parse_rejects_functions_outside_the_table(name):
+    with pytest.raises(dsl.DslError, match=name) as err:
+        dsl.parse(FIELD_HEADER
+                  + "form f : degree 1 order 1 = %s(t) * d(t);" % name)
+    assert err.value.line == 3
+
+
+@pytest.mark.parametrize("name", sorted(symexpr.FUNCTIONS))
+def test_parse_accepts_every_table_function(name):
+    model = dsl.parse(FIELD_HEADER
+                      + "form f : degree 0 order 0 = %s(t);" % name)
+    t = sp.Symbol("t")
+    assert model.forms["f"].terms[()] == symexpr.FUNCTIONS[name](t)
+
+
+# Field bodies built from c * D(x) terms, with their components.  A
+# D(t) or D(x) term takes only base-dependent c (projectability).
+_BASE_COEFFS = ["1", "2", "-3", "1/2", "t", "x", "t*x", "t**2 - x"]
+_FIBRE_COEFFS = _BASE_COEFFS + ["u", "v", "m*u", "u*t - v**2"]
+_FIELD_SPACE = "space { base t, x; fibre u, v; }\nparam m;\n"
+
+
+def _term(coord, c, template):
+    return template.format(c=c, x=coord), {coord: sp.sympify(c)}
+
+
+_TEMPLATES = st.sampled_from(["({c}) * D({x})", "D({x}) * ({c})"])
+_TERMS = st.builds(_term, st.sampled_from(["t", "x"]),
+                   st.sampled_from(_BASE_COEFFS), _TEMPLATES) | \
+    st.builds(_term, st.sampled_from(["u", "v"]),
+              st.sampled_from(_FIBRE_COEFFS), _TEMPLATES)
+
+
+def _scaled(body, k):
+    return {c: k * v for c, v in body.items()}
+
+
+def _summed(a, b, sign=1):
+    out = dict(a)
+    for c, v in b.items():
+        out[c] = out.get(c, 0) + sign * v
+    return out
+
+
+def _combine(children):
+    pairs = st.tuples(children, children)
+    k = st.integers(-4, 4).filter(bool)
+    return st.one_of(
+        pairs.map(lambda p: ("%s + %s" % (p[0][0], p[1][0]),
+                             _summed(p[0][1], p[1][1]))),
+        pairs.map(lambda p: ("%s - (%s)" % (p[0][0], p[1][0]),
+                             _summed(p[0][1], p[1][1], -1))),
+        children.map(lambda a: ("-(%s)" % a[0], _scaled(a[1], -1))),
+        st.tuples(children, k).map(
+            lambda p: ("(%s) * %d" % (p[0][0], p[1]), _scaled(p[0][1], p[1]))),
+        st.tuples(children, k).map(
+            lambda p: ("%d * (%s)" % (p[1], p[0][0]), _scaled(p[0][1], p[1]))),
+        st.tuples(children, k).map(
+            lambda p: ("(%s) / %d" % (p[0][0], p[1]),
+                       _scaled(p[0][1], sp.Rational(1, p[1])))),
+        children.map(lambda a: ("(%s)" % a[0], a[1])),
+    )
+
+
+_FIELD_BODIES = st.recursive(_TERMS, _combine, max_leaves=6)
+
+
+def _components(X):
+    space = X.space
+    out = {space.base_names[i - 1]: v for i, v in X.xi.items()}
+    out.update({space.fibre_names[s - 1]: v for s, v in X.Xi.items()})
+    return out
+
+
+def _same_components(got, want):
+    return all(symexpr.equal(got.get(c, 0), want.get(c, 0)) is True
+               for c in set(got) | set(want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_FIELD_BODIES)
+def test_field_body_parses_to_its_components(body):
+    text, want = body
+    X = dsl.parse(_FIELD_SPACE + "field X = %s;" % text).fields["X"]
+    assert _same_components(_components(X), want), text
+
+
+_FORM_TERMS = st.tuples(st.sampled_from(_FIBRE_COEFFS + ["u_t", "v_x"]),
+                        st.sampled_from(["d(t)", "d(x)", "d(u)", "w(v)",
+                                         "w(u,[t])", "w(v,[x])"]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_FORM_TERMS, max_size=3),
+       st.lists(_FIELD_BODIES, min_size=1, max_size=2))
+def test_render_parse_is_a_fixed_point_on_generated_models(terms, bodies):
+    form = " + ".join("(%s) * %s" % t for t in terms) or "0"
+    text = _FIELD_SPACE + "form f : degree 1 order 2 = %s;\n" % form
+    text += "".join("field X%d = %s;\n" % (k, b[0])
+                    for k, b in enumerate(bodies))
+    model = dsl.parse(text)
+    rendered = render.render_model(model)
+    again = dsl.parse(rendered)
+    assert render.render_model(again) == rendered
+    assert again.forms["f"].equals(model.forms["f"]) is True
+    for name, X in model.fields.items():
+        assert _same_components(_components(again.fields[name]),
+                                _components(X))
 
 
 def test_opaque_declaration_and_use():
@@ -138,6 +284,16 @@ def test_cli_el_text_output(model_file, capsys):
     code, out, _ = run_cli(capsys, "el", model_file, "--form", "lam")
     assert code == 0
     assert out.strip() == "(m*q_tt) * d(t)^w(q)"
+
+
+def test_cli_noether_current_of_negated_field(tmp_path, capsys):
+    path = tmp_path / "b.jv"
+    path.write_text(FIELD_HEADER
+                    + "form lam : degree 1 order 1 = m/2 * q_t**2 * d(t);\n"
+                    + "field b = -(D(q) + D(q));\n")
+    code, out, _ = run_cli(capsys, "noether", str(path), "--form", "lam",
+                           "--field", "b")
+    assert (code, out.strip()) == (0, "(-2*m*q_t)")
 
 
 def test_cli_exit_code_parse_error(tmp_path, capsys):

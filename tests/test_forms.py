@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from varseq import forms as fm
 from varseq import symexpr
-from varseq.forms import Dx, Dy, Form, Omega
+from varseq.forms import Dx, Form, Omega
 from varseq.jet_space import JetSpace, MultiIndex
 
 from conftest import random_polynomial
@@ -87,13 +87,6 @@ def test_d_squared_zero_opaque(mech):
     L = symexpr.opaque("L", t, q, qt)
     rho = L * fm.wedge(fm.omega(mech, 1), fm.dx(mech, 1))
     assert fm.exterior_d(fm.exterior_d(rho)).is_zero()
-
-
-def test_ingest_coordinate_basis(mech):
-    # dy^q = omega^q + q_t dt
-    rho = fm.ingest_coordinate_basis(mech, [(sp.Integer(1), (Dy(1),))], 0)
-    assert rho.coefficient((Omega(1, MultiIndex()),)) == 1
-    assert rho.coefficient((Dx(1),)) == sp.Symbol("q_t")
 
 
 def test_contact_components_partition(field2):

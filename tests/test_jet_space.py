@@ -166,8 +166,9 @@ def test_jet_order_follows_symbol_registration():
 
 
 def test_jet_order_exact_where_sympy_equality_is_coarse():
-    # sympy compares Subs without the points of the variables the
-    # expression uses, so these two compare equal; their orders differ
+    # one expression substituted at points of different orders: the
+    # order counts the point, not the variable the Subs binds, on its
+    # own and inside a sum
     T = sp.Symbol("T")
     a = sp.Subs(_U_X * T, _U_X, sp.Symbol("u_t"))
     b = sp.Subs(_U_X * T, _U_X, _T)

@@ -94,6 +94,46 @@ def test_is_rational_closed(mech):
     assert not symexpr.is_rational_closed(sp.sqrt(q))
 
 
+_T = sp.Symbol("t")
+
+
+@pytest.mark.parametrize("lhs, rhs", [
+    (sp.GoldenRatio**2, sp.GoldenRatio + 1),
+    (sp.TribonacciConstant**3,
+     sp.TribonacciConstant**2 + sp.TribonacciConstant + 1),
+    (sp.Integral(_T, (_T, 0, 1)), sp.Rational(1, 2)),
+    (sp.Derivative(_T, _T), 1),
+])
+def test_equal_never_false_on_true_identities(lhs, rhs):
+    # algebraic constants, bound variables and derivatives of
+    # non-atoms are not free atoms: no exact False
+    assert symexpr.equal(lhs, rhs) is not False
+
+
+def test_equal_transcendental_constants_stay_atoms():
+    q = sp.Symbol("q")
+    assert symexpr.equal(sp.pi * q, sp.E * q) is False
+    L = symexpr.opaque("L", _T, q)
+    assert symexpr.equal(sp.diff(L, q) * q, sp.diff(L, _T) * q) is False
+
+
+@pytest.mark.parametrize("name", sorted(symexpr.FUNCTIONS))
+def test_function_table_round_trips_through_json(name):
+    e = symexpr.FUNCTIONS[name](_T)
+    node = symexpr.expr_to_json(e)
+    assert symexpr.expr_from_json(node) == e
+
+
+@pytest.mark.parametrize("name", ["Symbol", "Matrix", "Poly", "Eq",
+                                  "Function", "Lambda", "Subs", "Integral",
+                                  "Derivative"])
+def test_json_rejects_functions_outside_the_table(name):
+    node = {"kind": "func", "name": name,
+            "args": [{"kind": "symbol", "name": "t"}]}
+    with pytest.raises(ValueError, match="unknown function"):
+        symexpr.expr_from_json(node)
+
+
 def test_eval_at_with_instantiation(mech, slots):
     t, q, qt = slots
     L = symexpr.opaque("L", t, q, qt)
