@@ -1,9 +1,12 @@
-"""Randomized exact-rational identity probing.
+"""Randomized identity probing at rational points.
 
 Substitutes random nonzero rational values for jet coordinates and
 parameters to decide equalities the canonicalizer reports as unknown
-(radical-bearing fixtures), and to cross-check symbolic identities.
-Verdicts of "unequal" always carry a reproducible witness assignment.
+(radical-bearing fixtures), and to cross-check symbolic identities.  The
+difference is compiled once (:func:`symexpr.eval_at`'s evaluator) and
+run per draw: exact on rational values, irrational ones in mpmath at a
+fixed 30 digits, ``tolerance`` applying only to those inexact values.
+Draws at a pole are re-drawn; "unequal" carries a reproducible witness.
 """
 
 from __future__ import annotations
@@ -55,33 +58,24 @@ class ProbeVerdict:
         return self.status == "equal"
 
 
-def _random_rational(rng: random.Random, bound: int) -> sp.Rational:
-    num = rng.randint(1, bound) * rng.choice((1, -1))
-    den = rng.randint(1, bound)
-    return sp.Rational(num, den)
-
-
 def random_assignment(space: JetSpace, order: int, cfg: ProbeConfig,
                       params: tuple = (), trial: int = 0) -> dict:
     """A deterministic nonzero rational assignment for J^order coordinates
     (and any extra parameter symbols), varying with cfg.seed and trial."""
+    return _draw(space, order, cfg, _symbols(space, order, params), trial)
+
+
+def _symbols(space: JetSpace, order: int, params: tuple) -> list:
+    return [space.symbol(c) for c in enumerate_coordinates(space, order)] \
+        + [sp.Symbol(str(p)) for p in params]
+
+
+def _draw(space, order, cfg, symbols, trial) -> dict:
     # zlib.crc32 keyed seed: stable across processes, unlike hash()
     key = repr((cfg.seed, trial, space.base_names, space.fibre_names, order))
     rng = random.Random(zlib.crc32(key.encode()))
-    assignment = {}
-    for coord in enumerate_coordinates(space, order):
-        assignment[space.symbol(coord)] = _random_rational(rng, cfg.bound)
-    for p in params:
-        assignment[sp.Symbol(str(p))] = _random_rational(rng, cfg.bound)
-    return assignment
-
-
-def _eval_diff(space, diff, assignment, instantiations, tolerance):
-    """Return True when diff vanishes at the assignment, else the value."""
-    value = symexpr.eval_at(space, diff, assignment, instantiations)
-    if isinstance(value, float):
-        return True if abs(value) <= tolerance else value
-    return True if value == 0 else value
+    return {s: sp.Rational(rng.randint(1, cfg.bound) * rng.choice((1, -1)),
+                           rng.randint(1, cfg.bound)) for s in symbols}
 
 
 def exprs_equal_probabilistic(space: JetSpace, e1, e2, cfg: ProbeConfig,
@@ -93,32 +87,31 @@ def exprs_equal_probabilistic(space: JetSpace, e1, e2, cfg: ProbeConfig,
     """Probabilistic scalar equality over random rational assignments.
 
     ``accept`` optionally rejects assignments (e.g. to keep a radicand
-    positive); rejected trials are re-drawn deterministically.
+    positive); rejected and undefined draws are re-drawn, deterministically
+    and up to 100 * cfg.trials draws in all.
     """
-    e1 = sp.sympify(e1)
-    e2 = sp.sympify(e2)
-    diff = e1 - e2
+    diff = sp.sympify(e1) - sp.sympify(e2)
     if diff == 0:
         return ProbeVerdict("equal")
     if order is None:
         order = space.jet_order(diff)
-    trial = 0
+    program = symexpr._compile(diff, instantiations)
+    symbols = _symbols(space, order, params)
     done = 0
-    while done < cfg.trials:
-        assignment = random_assignment(space, order, cfg, params, trial)
-        trial += 1
-        if trial > 100 * cfg.trials:
-            return ProbeVerdict("unknown")
+    for trial in range(100 * cfg.trials):
+        assignment = _draw(space, order, cfg, symbols, trial)
         if accept is not None and not accept(assignment):
             continue
-        verdict = _eval_diff(space, diff, assignment, instantiations,
-                             cfg.tolerance)
-        if verdict is not True:
-            witness = dict(assignment)
-            witness["__value__"] = verdict
-            return ProbeVerdict("unequal", witness)
+        try:
+            value = symexpr._run(program, assignment)
+        except symexpr.UndefinedAt:
+            continue
+        if abs(value) > (cfg.tolerance if isinstance(value, float) else 0):
+            return ProbeVerdict("unequal", {**assignment, "__value__": value})
         done += 1
-    return ProbeVerdict("equal")
+        if done == cfg.trials:
+            return ProbeVerdict("equal")
+    return ProbeVerdict("unknown")
 
 
 def forms_equal_probabilistic(alpha: Form, beta: Form, cfg: ProbeConfig,
@@ -129,11 +122,10 @@ def forms_equal_probabilistic(alpha: Form, beta: Form, cfg: ProbeConfig,
     """Probabilistic equality of forms, coefficient by coefficient."""
     if alpha.space != beta.space or alpha.degree != beta.degree:
         return ProbeVerdict("unequal", {"__value__": "degree/space mismatch"})
-    space = alpha.space
     diff = alpha - beta
     for atoms, coeff in diff.terms.items():
         verdict = exprs_equal_probabilistic(
-            space, coeff, 0, cfg, order=diff.order, params=params,
+            alpha.space, coeff, 0, cfg, order=diff.order, params=params,
             instantiations=instantiations, accept=accept)
         if verdict.status != "equal":
             if verdict.witness is not None:

@@ -21,9 +21,12 @@ nodes and the partials of atoms.
 
 from __future__ import annotations
 
+import math
 import numbers
+from fractions import Fraction
 from typing import Mapping, Optional
 
+import mpmath
 import sympy as sp
 from sympy.core.function import AppliedUndef
 
@@ -37,6 +40,7 @@ __all__ = [
     "canonicalize",
     "equal",
     "eval_at",
+    "UndefinedAt",
     "expr_to_json",
     "expr_from_json",
     "expr_to_latex",
@@ -262,55 +266,138 @@ def equal(e1: sp.Expr, e2: sp.Expr) -> Optional[bool]:
     return None
 
 
-def _instantiate(space: JetSpace, e: sp.Expr,
-                 instantiations: Mapping[str, sp.Expr]) -> sp.Expr:
-    """Replace opaque atoms (and their derivatives) by registered expressions.
+class UndefinedAt(ValueError):
+    """No value at a point: a pole, or a non-real or non-finite node."""
 
-    Each instantiation maps an opaque name to an expression in the same
-    coordinate symbols the atom is applied to.
-    """
-    rep: dict[sp.Expr, sp.Expr] = {}
-    for d in e.atoms(sp.Derivative):
-        f = d.expr
-        if isinstance(f, AppliedUndef) and f.func.__name__ in instantiations:
-            rep[d] = sp.diff(instantiations[f.func.__name__],
-                             *d.variable_count)
-    for f in e.atoms(AppliedUndef):
-        if f.func.__name__ in instantiations:
-            rep[f] = instantiations[f.func.__name__]
-    return e.xreplace(rep) if rep else e
+
+# Irrational values: mpmath at a fixed precision, in a private context
+# (the global mpmath.mp is never written).
+_MP = mpmath.MPContext()
+_MP.dps = 30
+_MPF = _MP.mpf
+
+
+def _real(v):
+    """v if it is a finite real mpf; ArithmeticError means undefined."""
+    if type(v) is not _MPF or not _MP.isfinite(v):
+        raise ArithmeticError(v)
+    return v
+
+
+def _exact(v):
+    if not isinstance(v, numbers.Rational):
+        raise ValueError("not a rational value: %r" % (v,))
+    return Fraction(v.numerator, v.denominator)
+
+
+def _pow(v):
+    b, x = v
+    if type(x) is not _MPF and x.denominator == 1:
+        return b ** int(x)
+    if type(b) is not _MPF and type(x) is not _MPF and b >= 0:
+        n, d = (sp.integer_nthroot(k, x.denominator)
+                for k in (b.numerator, b.denominator))
+        if n[1] and d[1]:  # a perfect power, exact as in sympy
+            return Fraction(n[0], d[0]) ** x.numerator
+    return _real(_MP.power(b, x))
+
+
+def _function(f, at, value):
+    # exact at the one rational argument where f is rational, as in sympy
+    return lambda v: (Fraction(value) if type(v[0]) is not _MPF and v[0] == at
+                      else _real(f(v[0])))
+
+
+_STEPS = {sp.Add: sum, sp.Mul: math.prod, sp.Pow: _pow,
+          type(sp.pi): lambda v: _MPF(_MP.pi),
+          type(sp.E): lambda v: _MPF(_MP.e), sp.Abs: lambda v: abs(v[0]),
+          sp.sign: lambda v: (_MP.sign(v[0]) if type(v[0]) is _MPF
+                              else Fraction((v[0] > 0) - (v[0] < 0)))}
+for _fs, _at, _v in (("exp cos cosh", 0, 1), ("log acos acosh", 1, 0),
+                     ("sin tan asin atan sinh tanh asinh atanh", 0, 0)):
+    _STEPS.update((getattr(sp, f), _function(getattr(_MP, f), _at, _v))
+                  for f in _fs.split())
+
+
+def _leaf(node, symbols, v):
+    """The value of any other node: xreplace and evalf on its subtree."""
+    out = node.xreplace({s: sp.Rational(a) for s, a in zip(symbols, v)})
+    out = out if out.is_Rational else out.evalf(_MP.dps)
+    return _exact(out) if out.is_Rational else _real(
+        _MPF(out) if out.is_Float else None)
+
+
+def _compile(e: sp.Expr,
+             instantiations: Optional[Mapping[str, sp.Expr]] = None):
+    """The straight-line program (symbols, steps, root) of a scalar: the
+    registers hold the symbols' values, then one per unique node (by id)
+    in post-order from a step (function, operand registers) of _STEPS, a
+    rational constant, or a leaf step on the node's free symbols."""
+    e = sp.sympify(e)
+    if instantiations:
+        e = e.xreplace({f: instantiations[f.func.__name__]
+                        for f in e.atoms(AppliedUndef)
+                        if f.func.__name__ in instantiations})
+    e = e.xreplace({d: d.doit() for d in e.atoms(sp.Derivative)})
+    opaque_names = {f.func.__name__ for f in e.atoms(AppliedUndef)}
+    if opaque_names:
+        raise ValueError("opaque atoms without registered instantiation: %s"
+                         % sorted(opaque_names))
+    symbols = sorted(e.free_symbols, key=sp.default_sort_key)
+    index = {s: i for i, s in enumerate(symbols)}
+    steps, seen = [], {}
+
+    def visit(node) -> int:
+        if node.is_Symbol:
+            return index[node]
+        if id(node) not in seen:
+            fn = _STEPS.get(type(node))
+            if fn is not None:
+                args = [visit(a) for a in node.args]
+            elif node.is_Rational:
+                fn, args = (lambda v, c=_exact(node): c), []
+            else:
+                free = sorted(node.free_symbols, key=sp.default_sort_key)
+                fn = lambda v: _leaf(node, free, v)
+                args = [index[s] for s in free]
+            steps.append((fn, args))
+            seen[id(node)] = len(symbols) + len(steps) - 1
+        return seen[id(node)]
+
+    return symbols, steps, visit(e)
+
+
+def _run(program, assignment: Mapping):
+    """Run a program on rational values of its symbols: an exact result
+    as sp.Rational, an inexact one as float."""
+    symbols, steps, root = program
+    missing = [s.name for s in symbols if s not in assignment]
+    if missing:
+        raise ValueError("missing assignment for %s" % sorted(missing))
+    regs = [_exact(assignment[s]) for s in symbols]
+    try:
+        for fn, args in steps:
+            regs.append(fn([regs[i] for i in args]))
+    except ArithmeticError:  # ZeroDivisionError, or _real's refusal
+        raise UndefinedAt("value undefined at %s" % (dict(assignment),)
+                          ) from None
+    v = regs[root]
+    return float(v) if type(v) is _MPF else sp.Rational(v)
 
 
 def eval_at(space: JetSpace, e: sp.Expr, assignment: Mapping,
             instantiations: Optional[Mapping[str, sp.Expr]] = None):
     """Evaluate at rational coordinate/parameter values.
 
-    Returns an exact rational when the tree is rational-closed,
-    otherwise a float.  Opaque atoms require a registered polynomial
-    instantiation.
+    Arithmetic is exact on rational values (sqrt(4/9) = 2/3), giving an
+    sp.Rational; irrational values (other roots, pi, E, the elementary
+    functions) are computed in mpmath at a fixed 30 digits, giving a
+    float.  Opaque atoms need an instantiation (an expression in the
+    atom's slots).  Raises :class:`UndefinedAt` where a node is a pole,
+    non-real or non-finite.
     """
-    e = sp.sympify(e)
-    if instantiations:
-        e = _instantiate(space, e, instantiations)
-    subs = {}
-    for key, value in assignment.items():
-        sym = _as_symbol(space, key)
-        if isinstance(value, numbers.Rational) and not isinstance(value, int):
-            value = sp.Rational(value.numerator, value.denominator)
-        subs[sym] = sp.Rational(value) if not isinstance(value, sp.Expr) else value
-    if e.atoms(AppliedUndef):
-        raise ValueError("opaque atoms without registered instantiation: %s"
-                         % sorted({f.func.__name__
-                                   for f in e.atoms(AppliedUndef)}))
-    result = e.xreplace(subs)
-    missing = result.free_symbols
-    if missing:
-        raise ValueError("missing assignment for %s"
-                         % sorted(s.name for s in missing))
-    result = sp.cancel(result) if is_rational_closed(result) else result
-    if result.is_Rational:
-        return result
-    return float(result.evalf())
+    return _run(_compile(e, instantiations),
+                {_as_symbol(space, k): v for k, v in assignment.items()})
 
 
 # serialization

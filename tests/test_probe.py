@@ -2,7 +2,7 @@ import pytest
 import sympy as sp
 
 from varseq import forms as fm
-from varseq import probe
+from varseq import probe, symexpr
 from varseq.jet_space import JetSpace
 
 
@@ -83,3 +83,53 @@ def test_config_validation():
         probe.ProbeConfig(trials=0)
     with pytest.raises(ValueError):
         probe.ProbeConfig(bound=0)
+
+
+_q = sp.Symbol("q")
+
+
+@pytest.mark.parametrize("lhs, rhs, bound, status", [
+    (1 / (_q + 1) + 1 / (_q - 1), 2 * _q / (_q**2 - 1), 1, "unknown"),
+    (1 / (_q + 1) + 1 / (_q - 1), 2 * _q / (_q**2 - 1), 3, "equal"),
+    (_q / (_q - 1), 1 + 1 / (_q - 1), 1, "equal"),  # defined at q = -1
+])
+def test_draws_at_poles_are_redrawn(mech, lhs, rhs, bound, status):
+    # a draw on a pole is undefined, never an "unequal" with a nan witness
+    cfg = probe.ProbeConfig(seed=0, trials=10, bound=bound)
+    verdict = probe.exprs_equal_probabilistic(mech, lhs, rhs, cfg, order=0)
+    assert verdict.status == status and verdict.witness is None
+
+
+def test_missing_value_and_opaque_atom_still_raise(mech):
+    cfg = probe.ProbeConfig(seed=0, trials=3)
+    with pytest.raises(ValueError, match="missing assignment") as err:
+        probe.exprs_equal_probabilistic(mech, _q * sp.Symbol("s"), 1, cfg)
+    assert not isinstance(err.value, symexpr.UndefinedAt)
+    L = symexpr.opaque("L", _q)
+    with pytest.raises(ValueError, match="without registered instantiation"):
+        probe.exprs_equal_probabilistic(mech, L, 1, cfg)
+
+
+def test_probe_compiles_each_difference_once(mech, monkeypatch):
+    compiled = []
+    compile_ = symexpr._compile
+
+    def counting(e, instantiations=None):
+        compiled.append(e)
+        return compile_(e, instantiations)
+
+    monkeypatch.setattr(symexpr, "_compile", counting)
+    qt = sp.Symbol("q_t")
+    cfg = probe.ProbeConfig(seed=4, trials=20)
+    assert probe.exprs_equal_probabilistic(mech, sp.sqrt(_q**2), sp.Abs(_q),
+                                           cfg)
+    assert len(compiled) == 1
+    compiled.clear()
+    a = sp.sqrt(_q**2) * fm.dx(mech, 1) + sp.sqrt(qt**2) * fm.omega(mech, 1)
+    b = sp.Abs(_q) * fm.dx(mech, 1) + sp.Abs(qt) * fm.omega(mech, 1)
+    assert len((a - b).terms) == 2
+    assert probe.forms_equal_probabilistic(a, b, cfg)
+    assert len(compiled) == 2
+    compiled.clear()
+    assert probe.forms_equal_probabilistic(a, a, cfg)
+    assert compiled == []

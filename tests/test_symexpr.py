@@ -1,5 +1,6 @@
 import random
 
+import mpmath
 import pytest
 import sympy as sp
 from sympy.core.function import AppliedUndef
@@ -141,6 +142,111 @@ def test_eval_at_with_instantiation(mech, slots):
     inst = {"L": qt**2 / 2}
     value = symexpr.eval_at(mech, e, {t: 1, q: 2, qt: 3}, inst)
     assert value == 6
+
+
+_q, _s = sp.symbols("q s")
+
+
+@pytest.mark.parametrize("e, at, expected", [
+    (sp.sqrt(_q), sp.Rational(4, 9), sp.Rational(2, 3)),
+    (_q ** sp.Rational(-3, 2), sp.Rational(9, 4), sp.Rational(8, 27)),
+    (sp.Abs(_q), -3, sp.Integer(3)),
+    (sp.sign(_q), -3, sp.Integer(-1)),
+    (sp.log(_q), 1, sp.Integer(0)),
+    (sp.exp(_q - 1) ** -2, 1, sp.Integer(1)),
+    (1 / sp.sign(_q), -3, sp.Integer(-1)),
+    (sp.Integral(_q, (_s, 0, 1)), 2, 2.0),
+    (sp.sqrt(2) * _q, 1, 1.4142135623730951),
+    (sp.pi * _q, sp.Rational(1, 2), 1.5707963267948966),
+])
+def test_eval_at_edge_cases(mech, e, at, expected):
+    # exact where every node's value is rational, a float elsewhere
+    prec = mpmath.mp.prec
+    value = symexpr.eval_at(mech, e, {_q: at})
+    assert type(value) is type(expected) or (
+        isinstance(value, sp.Rational) and isinstance(expected, sp.Rational))
+    assert value == expected
+    assert mpmath.mp.prec == prec  # the global precision is never written
+
+
+@pytest.mark.parametrize("e, at", [
+    (1 / (_q - 1), 1), (sp.sqrt(_q), -2), (sp.log(_q), 0),
+    (_q ** sp.Rational(1, 3), -8), (sp.asin(_q), 2),
+    (_q * sp.zoo, 1), (sp.I * _q, 1)])
+def test_eval_at_undefined_point(mech, e, at):
+    with pytest.raises(symexpr.UndefinedAt, match=r"\{q: -?\d+\}"):
+        symexpr.eval_at(mech, e, {_q: at})
+
+
+def test_eval_at_missing_value_or_instantiation(mech, slots):
+    t, q, qt = slots
+    with pytest.raises(ValueError, match=r"missing assignment for \['q_t'"):
+        symexpr.eval_at(mech, q * qt + t, {q: 1})
+    L = symexpr.opaque("L", t, q, qt)
+    with pytest.raises(ValueError, match="without registered instantiation"):
+        symexpr.eval_at(mech, sp.diff(L, qt) + L, {t: 1, q: 1, qt: 1})
+    with pytest.raises(ValueError, match="not a rational value"):
+        symexpr.eval_at(mech, q, {q: sp.sqrt(2)})
+
+
+# eval_at against sympy's own xreplace + evalf
+
+_MECH = JetSpace(("t",), ("q",))
+_EVAL_SYMS = sp.symbols("t q q_t m")
+
+
+def _arith(children):
+    pairs = st.tuples(children, children)
+    return st.one_of(
+        pairs.map(lambda p: p[0] + p[1]),
+        pairs.map(lambda p: p[0] - p[1]),
+        pairs.map(lambda p: p[0] * p[1]),
+        pairs.map(lambda p: p[0] / p[1]),
+        st.tuples(children, st.sampled_from(
+            [2, 3, -1, -2, sp.Rational(1, 2), sp.Rational(-1, 2)]))
+        .map(lambda p: p[0] ** p[1]),
+        st.tuples(st.sampled_from([sp.sqrt, sp.exp, sp.sin, sp.log, sp.Abs]),
+                  children).map(lambda p: p[0](p[1])),
+    )
+
+
+_EVAL_EXPRS = st.recursive(
+    st.sampled_from(list(_EVAL_SYMS) + [sp.Integer(2), sp.Rational(-1, 3),
+                                        sp.pi, sp.E]),
+    _arith, max_leaves=10)
+_POINTS = st.tuples(*[st.builds(sp.Rational, st.integers(-6, 6),
+                                st.integers(1, 6)) for _ in _EVAL_SYMS])
+
+
+def _sympy_value(e, point):
+    """sympy's value at the point: a Rational, a Float, or None for nan,
+    zoo, oo or a non-real number."""
+    v = e.xreplace(point)
+    if v.is_Rational:
+        return v
+    v = v.evalf(40)
+    return v if v.is_Float else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_EVAL_EXPRS, _POINTS)
+def test_eval_at_matches_sympy(e, values):
+    point = dict(zip(_EVAL_SYMS, values))
+    ref = _sympy_value(e, point)
+    try:
+        value = symexpr.eval_at(_MECH, e, point)
+    except symexpr.UndefinedAt:
+        # undefined exactly where some node's value is
+        assert any(_sympy_value(n, point) is None
+                   for n in sp.preorder_traversal(e))
+        return
+    assert ref is not None
+    if isinstance(value, sp.Rational) or (
+            symexpr.is_rational_closed(e) and not e.atoms(sp.NumberSymbol)):
+        assert value == ref and isinstance(value, sp.Rational)
+    else:
+        # inexact: sympy may still be exact (sqrt(2)*sqrt(2), 0*sqrt(2))
+        assert abs(value - float(ref)) <= 1e-12 * max(1.0, abs(float(ref)))
 
 
 def test_expr_json_round_trip(mech, slots):
