@@ -1,7 +1,9 @@
 """Representation machinery of the variational sequence.
 
-Implements the interior Euler operator I, the residual operator R with
-the defining identity p_k rho = I(rho) + p_k d R(rho), the
+Implements the interior Euler operator I and the residual operator R,
+both from one integration-by-parts pass over p_k rho, with the defining
+identity p_k rho = I(rho) + p_k d R(rho) checked on every residual call
+against an exterior derivative taken apart from that pass; the
 Euler-Lagrange and Helmholtz morphisms, Cartan forms and Lepage
 equivalents in every degree, the fibre-scaling contact homotopy
 operator A (Tonti Lagrangians), and triviality/variationality checks.
@@ -70,66 +72,78 @@ def _check_source_degree(rho: Form) -> int:
     return k
 
 
-def _factor_omega0(mu: Form) -> Form:
-    """Write a k-contact (n+k)-form as F ^ omega0 and return F.
-
-    Every term of such a form carries the full set of dx atoms, so F is
-    the purely contact wedge with a sign from moving omega0 across it.
-    """
-    space = mu.space
-    n = space.n
-    terms = {}
-    for atoms, coeff in mu.terms.items():
-        dx_atoms = tuple(a for a in atoms if isinstance(a, Dx))
-        w_atoms = tuple(a for a in atoms if isinstance(a, Omega))
-        if len(dx_atoms) != n:
-            raise ValueError("term does not carry the full volume factor")
-        sign = (-1) ** (len(w_atoms) * n)
-        terms[w_atoms] = sign * coeff
-    return Form(space, mu.degree - n, terms, order=mu.order, _checked=True)
-
-
-def _wedge_omega0(F: Form) -> Form:
-    return fm.wedge(F, fm.omega0(F.space))
-
-
-def _td_contact_form(G: Form, i: int) -> Form:
-    """The total derivative L_{d_i} of a purely contact wedge.
+def _td_contact(space: JetSpace, eta: dict, i: int) -> dict:
+    """The total derivative L_{d_i} of a purely contact wedge, as terms.
 
     Acts as d_i on coefficients and bumps each omega^nu_K to
     omega^nu_{Ki}; an even derivation, so no Koszul signs beyond the
     canonical re-sorting.
     """
-    space = G.space
     terms: dict = {}
-    for atoms, coeff in G.terms.items():
+    for atoms, coeff in eta.items():
         di = symexpr.total_derivative(space, coeff, i)
         if di != 0:
             fm._add_term(terms, atoms, di)
         for p, a in enumerate(atoms):
             bumped = atoms[:p] + (Omega(a.sigma, a.J.append(i)),) + atoms[p + 1:]
             fm._add_term(terms, bumped, coeff)
-    return Form(space, G.degree, terms, order=G.order + 1, _checked=True)
+    return terms
 
 
-def _td_contact_form_multi(G: Form, J: MultiIndex) -> Form:
-    for i in J.entries:
-        G = _td_contact_form(G, i)
-    return G
+def _integrate_by_parts(rho: Form, with_residual: bool):
+    """One integration by parts of mu = p_k rho; returns (k, mu, I, R).
 
+    Writes mu = F ^ omega0 and spreads F over its slots, F = sum
+    omega^sigma_J ^ eta with eta = (1/k) (d/dy^sigma_J hook F), the
+    Euler-identity decomposition of a k-contact wedge.  Each slot with
+    |J| >= 1 loses the last index i of J = K i at every step via
 
-def _slot_decomposition(F: Form, k: int):
-    """Yield (sigma, J, eta_hat) with F = sum omega^sigma_J ^ eta_hat.
+        omega^sigma_{Ki} ^ eta = L_{d_i}(omega^sigma_K ^ eta)
+                                 - omega^sigma_K ^ L_{d_i} eta,
 
-    eta_hat^J_sigma = (1/k) (d/dy^sigma_J hook F), the Euler-identity
-    decomposition of a k-contact wedge.
+    which puts (-1)^k (omega^sigma_K ^ eta) ^ omega_i into R.  What is
+    left, omega^sigma ^ (-1)^|J| d_J eta ^ omega0, is the slot's part of
+    I.  The sign (-1)^|J| is carried as an integer, so total derivatives
+    see the coefficients as they are.  R is None unless with_residual.
     """
-    space = F.space
-    slots = sorted({(a.sigma, a.J) for atoms in F.terms for a in atoms})
-    for sigma, J in slots:
-        eta = fm.contract(fm.unit_vertical(space, sigma, J), F) * sp.Rational(1, k)
-        if eta.terms:
-            yield sigma, J, eta
+    k = _check_source_degree(rho)
+    space = rho.space
+    n = space.n
+    mu = fm.contact_component(rho, k)
+    volume = tuple(Dx(i) for i in range(1, n + 1))
+    slots: dict = {}
+    for atoms, coeff in mu.terms.items():
+        w_atoms = atoms[n:]   # the dx atoms sort first
+        for p, a in enumerate(w_atoms):
+            rest = w_atoms[:p] + w_atoms[p + 1:]
+            slots.setdefault((a.sigma, a.J), {})[rest] = (
+                sp.Rational((-1) ** (k * n + p), k) * coeff)
+    top = max((len(J) for _, J in slots), default=0)
+    I_terms: dict = {}
+    R_terms: dict = {}
+    for (sigma, J), eta in sorted(slots.items()):
+        sign = 1
+        while len(J):
+            K, i = J.drop_last()
+            if with_residual:
+                bound = tuple(Dx(j) for j in range(1, n + 1) if j != i)
+                factor = sp.Integer((-1) ** (k + i - 1) * sign)
+                for atoms, coeff in eta.items():
+                    fm._add_term(R_terms, (Omega(sigma, K),) + atoms + bound,
+                                 factor, coeff)
+            eta = _td_contact(space, eta, i)
+            sign = -sign
+            J = K
+        factor = sp.Integer(sign)
+        for atoms, coeff in eta.items():
+            fm._add_term(I_terms, (Omega(sigma),) + atoms + volume,
+                         factor, coeff)
+    I = Form(space, rho.degree, I_terms,
+             order=mu.order + top if slots else 0, _checked=True)
+    R = (Form(space, rho.degree - 1, R_terms,
+              order=mu.order + top - 1 if top else 0, _checked=True)
+         if with_residual else None)
+    return k, mu, I, R
 
 
 def interior_euler(rho: Form) -> SourceForm:
@@ -137,62 +151,33 @@ def interior_euler(rho: Form) -> SourceForm:
 
     I(rho) = (1/k) omega^sigma ^ sum_J (-1)^|J| d_J (d/dy^sigma_J hook
     p_k rho), with d_J acting as the iterated total-derivative Lie
-    derivative on contact wedges.
+    derivative on contact wedges.  Computed by the same integration by
+    parts as :func:`residual`, without collecting R's terms.
     """
-    k = _check_source_degree(rho)
-    space = rho.space
-    mu = fm.contact_component(rho, k)
-    result = fm.zero(space, rho.degree)
-    if not mu.terms:
-        return SourceForm(result, k)
-    F = _factor_omega0(mu)
-    per_sigma: dict[int, Form] = {}
-    for sigma, J, eta in _slot_decomposition(F, k):
-        piece = ((-1) ** len(J)) * _td_contact_form_multi(eta, J)
-        per_sigma[sigma] = piece if sigma not in per_sigma \
-            else per_sigma[sigma] + piece
-    for sigma, total in per_sigma.items():
-        result = result + _wedge_omega0(fm.wedge(fm.omega(space, sigma), total))
-    return SourceForm(result, k)
+    k, _, I, _ = _integrate_by_parts(rho, False)
+    return SourceForm(I, k)
 
 
 def residual(rho: Form) -> Form:
     """The residual operator R: a k-contact (n+k-1)-form with
     p_k rho = I(rho) + p_k d R(rho), verified internally.
 
-    Constructive integration by parts: for each slot omega^sigma_J with
-    |J| >= 1 in the Euler-identity decomposition of p_k rho, repeatedly
-    strip the last index i of J via
-
-        omega^sigma_{Ki} ^ eta = L_{d_i}(omega^sigma_K ^ eta)
-                                 - omega^sigma_K ^ L_{d_i} eta,
-
-    accumulating (-1)^k (omega^sigma_K ^ eta) ^ omega_i into the
-    boundary current at every step.
+    R collects the boundary currents of the integration by parts that
+    also yields I(rho): each slot omega^sigma_J of p_k rho gives up the
+    last index i of J = K i at every step, adding (-1)^k (omega^sigma_K
+    ^ eta) ^ omega_i to R.  The identity is checked on every call with I
+    from that pass and p_k d R from exterior_d, which does not depend on
+    it, so a slip in either I's or R's terms fails the check.
     """
-    k = _check_source_degree(rho)
-    space = rho.space
-    mu = fm.contact_component(rho, k)
-    R = fm.zero(space, rho.degree - 1)
-    if not mu.terms:
-        return R
-    F = _factor_omega0(mu)
-    sign_k = (-1) ** k
-    for sigma, J, eta in _slot_decomposition(F, k):
-        while len(J):
-            K, i = J.drop_last()
-            X = fm.wedge(fm.omega(space, sigma, K), eta)
-            R = R + sign_k * fm.wedge(X, fm.omega_i(space, i))
-            eta = -1 * _td_contact_form(eta, i)
-            J = K
-    _verify_residual(mu, R, k)
+    k, mu, I, R = _integrate_by_parts(rho, True)
+    _verify_residual(mu - I, R, k)
     return R
 
 
-def _verify_residual(mu: Form, R: Form, k: int) -> None:
-    lhs = mu - interior_euler(mu).form
+def _verify_residual(rest: Form, R: Form, k: int) -> None:
+    """rest = p_k rho - I(rho) must equal p_k d R."""
     rhs = fm.contact_component(fm.exterior_d(R), k)
-    if (lhs - rhs).equals(fm.zero(mu.space, mu.degree)) is not True:
+    if (rest - rhs).equals(fm.zero(rest.space, rest.degree)) is not True:
         raise AssertionError("residual defining identity failed "
                              "(internal error)")
 
@@ -214,11 +199,10 @@ def helmholtz(eps: SourceForm | Form) -> SourceForm:
     return interior_euler(fm.exterior_d(form))
 
 
-def cartan_form(rho: Form, k: Optional[int] = None) -> Form:
-    """The Cartan form theta = p_k rho - p_{k+1} R(d p_k rho)."""
-    space = rho.space
-    if k is None:
-        k = rho.degree - space.n
+def cartan_form(rho: Form) -> Form:
+    """The Cartan form theta = p_k rho - p_{k+1} R(d p_k rho), with
+    k = degree - n."""
+    k = rho.degree - rho.space.n
     if k < 0:
         raise ValueError("contact degree must be >= 0")
     mu = fm.contact_component(rho, k)
@@ -333,8 +317,7 @@ def _base_primitive(rho: Form) -> Form:
     return g * fm.omega_i(space, 1)
 
 
-def is_variationally_trivial(sigma: SourceForm | Form,
-                             with_primitive: bool = True):
+def is_variationally_trivial(sigma: SourceForm | Form):
     """Triviality of the class of a Lagrangian or canonical source form.
 
     Returns (flag, primitive-or-None), where flag is True, False or None
@@ -358,7 +341,7 @@ def is_variationally_trivial(sigma: SourceForm | Form,
     if form.degree == n:
         lam = fm.horizontalize(form)
         trivial = euler_lagrange(lam).is_zero()
-        if trivial is not True or not with_primitive:
+        if trivial is not True:
             return trivial, None
         primitive = (fm.horizontalize(contact_homotopy(cartan_form(lam)))
                      + _base_primitive(base_restriction(lam)))
@@ -367,7 +350,7 @@ def is_variationally_trivial(sigma: SourceForm | Form,
                                  "(internal error)")
         return True, primitive
     trivial = interior_euler(fm.exterior_d(form)).is_zero()
-    if trivial is not True or not with_primitive:
+    if trivial is not True:
         return trivial, None
     primitive = contact_homotopy(form)
     check = interior_euler(fm.exterior_d(primitive)).form
@@ -387,11 +370,10 @@ class SourceCanonicalizeReport:
     identity_iterated: Optional[Form]  # I(rho) - I(omega^s ^ I(eta_s)), k >= 2
 
 
-def source_canonicalize(rho: Form, k: Optional[int] = None) -> SourceCanonicalizeReport:
+def source_canonicalize(rho: Form) -> SourceCanonicalizeReport:
     """Verify the canonical-source-form proposition for rho = omega^sigma ^ eta_sigma."""
     space = rho.space
-    if k is None:
-        k = _check_source_degree(rho)
+    k = _check_source_degree(rho)
     eta: dict[int, Form] = {}
     for atoms, coeff in rho.terms.items():
         pos = next((p for p, a in enumerate(atoms)
@@ -448,16 +430,19 @@ def reduced_helmholtz_mechanics(eps: SourceForm | Form):
     def d_t(e):
         return symexpr.total_derivative(space, e, 1)
 
+    def diff(e, c):
+        return symexpr.partial(space, e, c)
+
     half = sp.Rational(1, 2)
     H_bar = fm.zero(space, 3)
     eta = fm.zero(space, 2)
     for s in range(1, m + 1):
         for nu in range(1, m + 1):
-            a0 = (sp.diff(E[s], q[nu]) - sp.diff(E[nu], q[s])
-                  - half * d_t(sp.diff(E[s], qd[nu]) - sp.diff(E[nu], qd[s])))
-            a1 = (sp.diff(E[s], qd[nu]) + sp.diff(E[nu], qd[s])
-                  - d_t(sp.diff(E[s], qdd[nu]) + sp.diff(E[nu], qdd[s])))
-            a2 = sp.diff(E[s], qdd[nu]) - sp.diff(E[nu], qdd[s])
+            a0 = (diff(E[s], q[nu]) - diff(E[nu], q[s])
+                  - half * d_t(diff(E[s], qd[nu]) - diff(E[nu], qd[s])))
+            a1 = (diff(E[s], qd[nu]) + diff(E[nu], qd[s])
+                  - d_t(diff(E[s], qdd[nu]) + diff(E[nu], qdd[s])))
+            a2 = diff(E[s], qdd[nu]) - diff(E[nu], qdd[s])
             block = (a0 * fm.omega(space, nu)
                      + a1 * fm.omega(space, nu, J1)
                      + a2 * fm.omega(space, nu, J2))

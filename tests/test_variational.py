@@ -6,7 +6,7 @@ import sympy as sp
 from varseq import forms as fm
 from varseq import symexpr, variational as vr
 from varseq.forms import Form, Omega, Dx
-from varseq.jet_space import JetSpace, MultiIndex
+from varseq.jet_space import JetSpace, MultiIndex, enumerate_coordinates
 
 from conftest import random_polynomial
 from test_forms import random_form
@@ -88,14 +88,43 @@ def test_residual_matches_backsubstitution_oracle(mech, order):
     assert R.equals(expected) is True
 
 
+def _field2_mixed_slot_fixtures(space):
+    """A 1-contact and a 2-contact field-theory form, each sure to hold
+    the mixed slot omega^v_{tx}, on which stripping the last index of
+    J applies d_x before d_t."""
+    rng = random.Random(59)
+    slots = [space.symbol(c) for c in enumerate_coordinates(space, 1)]
+    v_tx = Omega(1, MultiIndex((1, 2)))
+    A = symexpr.opaque("A", *slots)
+    B = symexpr.opaque("B", *slots)
+    one = (Form(space, 3, {(v_tx, Dx(1), Dx(2)): A})
+           + random_form(space, 3, 3, rng, contact=1))
+    two = (Form(space, 4, {(v_tx, Omega(2), Dx(1), Dx(2)): B})
+           + random_form(space, 4, 3, rng, contact=2))
+    return [one, two]
+
+
 def test_residual_defining_identity_field_theory(field2):
     rng = random.Random(23)
-    rho = random_form(field2, 3, 1, rng, contact=1)
-    I = vr.interior_euler(rho).form
-    R = vr.residual(rho)
-    lhs = fm.contact_component(rho, 1)
-    rhs = I + fm.contact_component(fm.exterior_d(R), 1)
-    assert (lhs - rhs).is_zero()
+    fixtures = [random_form(field2, 3, 1, rng, contact=1)]
+    fixtures.extend(_field2_mixed_slot_fixtures(field2))
+    for rho in fixtures:
+        k = rho.degree - field2.n
+        I = vr.interior_euler(rho).form
+        R = vr.residual(rho)
+        lhs = fm.contact_component(rho, k)
+        rhs = I + fm.contact_component(fm.exterior_d(R), k)
+        assert (lhs - rhs).is_zero()
+
+
+def test_order_tags_on_mixed_slot_fixtures(field2):
+    # JSON output carries the order tag; the goldens pin it only for
+    # n = 1 and first-order inputs
+    expected = [(5, 4, 6), (5, 4, 6)]
+    got = [(vr.interior_euler(rho).form.order, vr.residual(rho).order,
+            vr.cartan_form(rho).order)
+           for rho in _field2_mixed_slot_fixtures(field2)]
+    assert got == expected
 
 
 def test_interior_euler_idempotent_random(field2):
@@ -313,6 +342,7 @@ def test_interior_euler_matches_raw_definition(mech, field2):
                 random_form(field2, 3, 1, rng, contact=1)]
     rho_op, _ = _mechanics_contact_source(mech, 2)
     fixtures.append(rho_op)
+    fixtures.extend(_field2_mixed_slot_fixtures(field2))
     for rho in fixtures:
         raw = _interior_euler_raw(rho)
         assert raw.equals(vr.interior_euler(rho).form) is True
