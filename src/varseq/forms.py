@@ -309,35 +309,46 @@ def lift(rho: Form, order: int) -> Form:
     return Form(rho.space, rho.degree, rho.terms, order=order, _checked=True)
 
 
-def exterior_d(rho: Form) -> Form:
-    """Exterior derivative through the contact basis; order goes up by 1."""
+def _d(rho: Form, horizontal: bool, vertical: bool) -> Form:
+    """The horizontal and/or the vertical part of d rho; order goes up by 1.
+
+    The horizontal part keeps the contact degree: total derivatives
+    d_i f dx^i and the structure equation d omega^sigma_J =
+    -omega^sigma_{Jj} ^ dx^j.  The vertical part, the fibre partials
+    (df/dy^sigma_J) omega^sigma_J, raises it by one.  No derivative is
+    taken along an atom the term already holds.
+    """
     space = rho.space
     terms: dict[tuple[Atom, ...], sp.Expr] = {}
     for atoms, coeff in rho.terms.items():
-        # d of the coefficient: d f = d_i f dx^i + (df/dy^sigma_J) omega^sigma_J
-        for i in range(1, space.n + 1):
+        # the d_i to take: none for d_V, none along a dx^i the term holds
+        dirs = [i for i in range(1, space.n + 1)
+                if horizontal and Dx(i) not in atoms]
+        for i in dirs:
             di = symexpr.total_derivative(space, coeff, i)
             if di != 0:
                 _add_term(terms, (Dx(i),) + atoms, di)
-        for s in sorted(coeff.free_symbols, key=sp.default_sort_key):
+        fibre = coeff.free_symbols if vertical else ()
+        for s in sorted(fibre, key=sp.default_sort_key):
             coord = space.coordinate_of(s)
-            if coord is None or coord.kind != "fibre":
+            if coord is None or coord.kind != "fibre" \
+                    or Omega(coord.index, coord.J) in atoms:
                 continue
             dv = symexpr.partial(space, coeff, s)
             if dv != 0:
                 _add_term(terms, (Omega(coord.index, coord.J),) + atoms, dv)
-        # structure equation: d omega^sigma_J = -omega^sigma_{Jj} ^ dx^j
         for p, a in enumerate(atoms):
-            if not isinstance(a, Omega):
-                continue
-            koszul = (-1) ** p
-            for j in range(1, space.n + 1):
-                new = (atoms[:p]
-                       + (Omega(a.sigma, a.J.append(j)), Dx(j))
+            for j in dirs if isinstance(a, Omega) else ():
+                new = (atoms[:p] + (Omega(a.sigma, a.J.append(j)), Dx(j))
                        + atoms[p + 1:])
-                _add_term(terms, new, -koszul * coeff)
+                _add_term(terms, new, (-1) ** (p + 1) * coeff)
     return Form(space, rho.degree + 1, terms,
                 order=rho.order + 1, _checked=True)
+
+
+def exterior_d(rho: Form) -> Form:
+    """Exterior derivative d = d_H + d_V through the contact basis."""
+    return _d(rho, True, True)
 
 
 def contact_component(rho: Form, k: int) -> Form:
@@ -354,28 +365,16 @@ def horizontalize(rho: Form) -> Form:
     return contact_component(rho, 0)
 
 
-def _by_contact_degree(rho: Form) -> dict[int, Form]:
-    out: dict[int, dict] = {}
-    for atoms, coeff in rho.terms.items():
-        out.setdefault(rho.contact_count(atoms), {})[atoms] = coeff
-    return {k: Form(rho.space, rho.degree, t, order=rho.order, _checked=True)
-            for k, t in out.items()}
-
-
 def d_H(rho: Form) -> Form:
-    """Horizontal differential: p_k(d .) on each k-contact component."""
-    out = zero(rho.space, rho.degree + 1, rho.order + 1)
-    for k, part in _by_contact_degree(rho).items():
-        out = out + contact_component(exterior_d(part), k)
-    return out
+    """Horizontal differential, p_k(d .) on each k-contact component:
+    total derivatives and the structure equation only."""
+    return _d(rho, True, False)
 
 
 def d_V(rho: Form) -> Form:
-    """Vertical differential: p_{k+1}(d .) on each k-contact component."""
-    out = zero(rho.space, rho.degree + 1, rho.order + 1)
-    for k, part in _by_contact_degree(rho).items():
-        out = out + contact_component(exterior_d(part), k + 1)
-    return out
+    """Vertical differential, p_{k+1}(d .) on each k-contact component:
+    fibre partials only."""
+    return _d(rho, False, True)
 
 
 @dataclass(frozen=True)

@@ -214,7 +214,7 @@ def first_variation_split(lam: Form,
     V = adapted_field(Z)
     el_term = fm.horizontalize(fm.contract(V, fm.exterior_d(theta)))
     current = fm.horizontalize(fm.contract(V, theta))
-    boundary = fm.horizontalize(fm.exterior_d(fm.contract(V, theta)))
+    boundary = fm.d_H(current)
     return el_term, boundary, current
 
 
@@ -269,8 +269,8 @@ def krbek_identity_check(X: Union[ProjectableVectorField,
     if V.base:
         raise ValueError("the identity holds for vertical fields")
     p_i = fm.contact_component(rho, i)
-    t1 = fm.contract(V, fm.contact_component(fm.exterior_d(p_i), i))
-    t2 = fm.contact_component(fm.exterior_d(fm.contract(V, p_i)), i - 1)
+    t1 = fm.contract(V, fm.d_H(p_i))
+    t2 = fm.d_H(fm.contract(V, p_i))
     return t1 + t2
 
 

@@ -2,8 +2,8 @@
 
 Implements the interior Euler operator I and the residual operator R,
 both from one integration-by-parts pass over p_k rho, with the defining
-identity p_k rho = I(rho) + p_k d R(rho) checked on every residual call
-against an exterior derivative taken apart from that pass; the
+identity p_k rho = I(rho) + p_k d R(rho) = I(rho) + d_H R(rho) checked
+on every residual call against a d_H taken apart from that pass; the
 Euler-Lagrange and Helmholtz morphisms, Cartan forms and Lepage
 equivalents in every degree, the fibre-scaling contact homotopy
 operator A (Tonti Lagrangians), and triviality/variationality checks.
@@ -166,8 +166,9 @@ def residual(rho: Form) -> Form:
     also yields I(rho): each slot omega^sigma_J of p_k rho gives up the
     last index i of J = K i at every step, adding (-1)^k (omega^sigma_K
     ^ eta) ^ omega_i to R.  The identity is checked on every call with I
-    from that pass and p_k d R from exterior_d, which does not depend on
-    it, so a slip in either I's or R's terms fails the check.
+    from that pass and p_k d R = d_H R (R is purely k-contact) from
+    forms.d_H, which does not depend on it, so a slip in either I's or
+    R's terms fails the check.
     """
     k, mu, I, R = _integrate_by_parts(rho, True)
     _verify_residual(mu - I, R, k)
@@ -175,8 +176,8 @@ def residual(rho: Form) -> Form:
 
 
 def _verify_residual(rest: Form, R: Form, k: int) -> None:
-    """rest = p_k rho - I(rho) must equal p_k d R."""
-    rhs = fm.contact_component(fm.exterior_d(R), k)
+    """rest = p_k rho - I(rho) must equal p_k d R = d_H R."""
+    rhs = fm.d_H(R)
     if (rest - rhs).equals(fm.zero(rest.space, rest.degree)) is not True:
         raise AssertionError("residual defining identity failed "
                              "(internal error)")
@@ -188,7 +189,7 @@ def euler_lagrange(lam: Form) -> SourceForm:
         raise ValueError("Lagrangian must be an n-form")
     if not fm.contact_component(lam, 0).equals(lam):
         raise ValueError("Lagrangian must be horizontal")
-    return interior_euler(fm.exterior_d(lam))
+    return interior_euler(fm.d_V(lam))
 
 
 def helmholtz(eps: SourceForm | Form) -> SourceForm:
@@ -206,8 +207,8 @@ def cartan_form(rho: Form) -> Form:
     if k < 0:
         raise ValueError("contact degree must be >= 0")
     mu = fm.contact_component(rho, k)
-    d_mu = fm.exterior_d(mu)
-    if fm.contact_component(d_mu, k + 1).is_zero() is True:
+    d_mu = fm.d_V(mu)
+    if d_mu.is_zero() is True:
         return mu
     R = residual(d_mu)
     return mu - fm.contact_component(R, k + 1)
@@ -222,9 +223,9 @@ def is_lepage(rho: Form) -> Optional[bool]:
     k = rho.degree - rho.space.n
     if k < 0:
         raise ValueError("Lepage property needs degree >= n")
-    d_rho = fm.exterior_d(rho)
-    lhs = fm.contact_component(d_rho, k + 1)
-    rhs = interior_euler(d_rho).form
+    lhs = (fm.d_V(fm.contact_component(rho, k))
+           + fm.d_H(fm.contact_component(rho, k + 1)))
+    rhs = interior_euler(lhs).form
     return lhs.equals(rhs)
 
 
@@ -396,7 +397,7 @@ def source_canonicalize(rho: Form) -> SourceCanonicalizeReport:
         recomposed = recomposed + fm.wedge(fm.omega(space, sigma), inner)
     decomposition = rho - k * I_rho + (k - 1) * recomposed
     R = residual(rho)
-    residual_identity = rho - I_rho - fm.contact_component(fm.exterior_d(R), k)
+    residual_identity = rho - I_rho - fm.d_H(R)
     iterated = None
     if k >= 2:
         iterated = I_rho - interior_euler(recomposed).form
@@ -414,7 +415,7 @@ def reduced_helmholtz_mechanics(eps: SourceForm | Form):
     space = form.space
     if space.n != 1:
         raise ValueError("reduced Helmholtz form is a mechanics construction")
-    if form.degree != 2 or form.order > 2:
+    if form.degree != 2 or form.minimal_order() > 2:
         raise ValueError("expects a second-order dynamical form")
     m = space.m
     E = {}
@@ -450,7 +451,7 @@ def reduced_helmholtz_mechanics(eps: SourceForm | Form):
             eta = eta + (-sp.Rational(1, 4)) * d_t(a2) * fm.wedge(
                 fm.omega(space, nu), fm.omega(space, s))
     H = helmholtz(form).form
-    residue = H_bar - H - fm.contact_component(fm.exterior_d(eta), 2)
+    residue = H_bar - H - fm.d_H(eta)
     if residue.equals(fm.zero(space, 3)) is not True:
         raise AssertionError("reduced Helmholtz relation failed "
                              "(internal error)")

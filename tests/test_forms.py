@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varseq import forms as fm
-from varseq import symexpr
+from varseq import symexpr, variational as vr
 from varseq.forms import Dx, Form, Omega
-from varseq.jet_space import JetSpace, MultiIndex
+from varseq.jet_space import JetSpace, MultiIndex, enumerate_coordinates
 
 from conftest import random_polynomial
 
@@ -118,6 +118,69 @@ def test_dH_squared_zero(field2):
     rng = random.Random(13)
     rho = random_form(field2, 1, 1, rng)
     assert fm.d_H(fm.d_H(rho)).is_zero()
+
+
+def _mixed_contact_forms(space, seed):
+    """Random forms of degree 1 and 2, orders 1 and 2, each a sum of
+    random 0-, 1- and 2-contact parts (those the degree and the space
+    allow)."""
+    rng = random.Random(seed)
+    out = []
+    for degree in (1, 2):
+        for order in (1, 2):
+            rho = fm.zero(space, degree, order)
+            for contact in range(min(degree, 2) + 1):
+                rho = rho + random_form(space, degree, order, rng,
+                                        contact=contact)
+            out.append(rho)
+    return out
+
+
+@pytest.mark.parametrize("name", ["mech", "mech2", "field2"])
+def test_graded_differential_on_mixed_contact_forms(name, request):
+    space = request.getfixturevalue(name)
+    for rho in _mixed_contact_forms(space, len(name)):
+        parts = [fm.contact_component(rho, k) for k in range(rho.degree + 1)]
+        dH, dV = fm.d_H(rho), fm.d_V(rho)
+        assert fm.exterior_d(rho).equals(dH + dV) is True
+        # the definitions p_k d p_k and p_{k+1} d p_k, summed over k
+        old_dH = fm.zero(space, rho.degree + 1, rho.order + 1)
+        old_dV = fm.zero(space, rho.degree + 1, rho.order + 1)
+        for k, part in enumerate(parts):
+            d_part = fm.exterior_d(part)
+            old_dH = old_dH + fm.contact_component(d_part, k)
+            old_dV = old_dV + fm.contact_component(d_part, k + 1)
+        assert dH.equals(old_dH) is True
+        assert dV.equals(old_dV) is True
+        assert (dH.order, dV.order) == (rho.order + 1, rho.order + 1)
+        assert fm.d_H(dH).is_zero() is True
+        assert fm.d_V(dV).is_zero() is True
+        assert (fm.d_H(dV) + fm.d_V(dH)).is_zero() is True
+
+
+def test_no_discarded_derivatives(field2, monkeypatch):
+    slots = [field2.symbol(c) for c in enumerate_coordinates(field2, 1)]
+    lam = symexpr.opaque("L", *slots) * fm.omega0(field2)
+    R = vr.residual(fm.exterior_d(lam))
+    calls = {"total_derivative": 0, "partial": 0}
+
+    def counting(attr):
+        fn = getattr(symexpr, attr)
+
+        def counted(*args, **kwargs):
+            calls[attr] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for attr in calls:
+        monkeypatch.setattr(symexpr, attr, counting(attr))
+    # L omega0 holds every dx^i, so d takes no total derivative
+    assert fm.exterior_d(lam).is_zero() is False
+    assert calls["total_derivative"] == 0 and calls["partial"] > 0
+    # R is purely 1-contact, so d_H R takes no fibre partial
+    calls.update(total_derivative=0, partial=0)
+    assert fm.d_H(R).is_zero() is False
+    assert calls["partial"] == 0 and calls["total_derivative"] > 0
 
 
 def test_dH_of_function_is_total_derivative(field2):

@@ -308,6 +308,47 @@ def test_reduced_helmholtz_identity(mech2):
     assert diff.is_zero()
 
 
+def test_reduced_helmholtz_of_euler_lagrange_form(mech):
+    # the EL form's order tag (3) exceeds its minimal order (2)
+    qt, qtt = sp.symbols("q_t q_tt")
+    eps = vr.euler_lagrange(qt**2 * fm.dx(mech, 1))
+    assert eps.form.minimal_order() == 2 < eps.form.order
+    Hbar, _ = vr.reduced_helmholtz_mechanics(eps)
+    assert Hbar.is_zero() is True
+    high = vr.euler_lagrange(qtt**2 * fm.dx(mech, 1))
+    assert high.form.minimal_order() == 4
+    with pytest.raises(ValueError, match="second-order dynamical form"):
+        vr.reduced_helmholtz_mechanics(high)
+
+
+def test_residual_check_catches_a_wrong_residual(mech, monkeypatch):
+    ibp = vr._integrate_by_parts
+
+    def doubled(rho, with_residual):
+        k, mu, I, R = ibp(rho, with_residual)
+        return k, mu, I, None if R is None else 2 * R
+
+    monkeypatch.setattr(vr, "_integrate_by_parts", doubled)
+    rho, _ = _mechanics_contact_source(mech, 2)
+    with pytest.raises(AssertionError, match=r"\(internal error\)"):
+        vr.residual(rho)
+    t, q, qt = sp.symbols("t q q_t")
+    lam = symexpr.opaque("L", t, q, qt) * fm.dx(mech, 1)
+    with pytest.raises(AssertionError, match=r"\(internal error\)"):
+        vr.cartan_form(lam)
+
+
+def test_perturbed_cartan_form_not_lepage_field_theory(field2):
+    slots = [field2.symbol(c) for c in enumerate_coordinates(field2, 1)]
+    lam = symexpr.opaque("L", *slots) * fm.omega0(field2)
+    theta = vr.cartan_form(lam)
+    assert vr.is_lepage(theta) is True
+    # p_1 d of the perturbation holds omega^v_t, which I does not keep
+    v_t = sp.Symbol("v_t")
+    bump = v_t * fm.wedge(fm.omega(field2, 1), fm.dx(field2, 2))
+    assert vr.is_lepage(theta + bump) is False
+
+
 def _lie_total(rho, i):
     d = fm.total_field(rho.space, i)
     return fm.contract(d, fm.exterior_d(rho)) \
