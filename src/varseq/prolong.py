@@ -205,14 +205,17 @@ def first_variation_split(lam: Form,
         el_term = h(J Xi hook d theta),  boundary = h d(J Xi hook theta),
 
     theta the Cartan form of lambda, and current = h(J Xi hook theta)
-    the canonical boundary current (boundary = d_H current).
+    the canonical boundary current (boundary = d_H current).  Only
+    p_1 d theta = d_V(p_0 theta) + d_H(p_1 theta) survives the hook and h.
     """
     if lam.degree != lam.space.n:
         raise ValueError("Lagrangian must be an n-form")
     theta = variational.cartan_form(lam)
     Z = _prolonged(X, theta.order + 1)
     V = adapted_field(Z)
-    el_term = fm.horizontalize(fm.contract(V, fm.exterior_d(theta)))
+    p1_d_theta = (fm.d_V(fm.contact_component(theta, 0))
+                  + fm.d_H(fm.contact_component(theta, 1)))
+    el_term = fm.horizontalize(fm.contract(V, p1_d_theta))
     current = fm.horizontalize(fm.contract(V, theta))
     boundary = fm.d_H(current)
     return el_term, boundary, current

@@ -40,7 +40,8 @@ __all__ = [
 
 
 class NonPolynomialError(ValueError):
-    """Raised when an exact operation needs polynomial fibre dependence."""
+    """Raised when the contact homotopy meets non-polynomial fibre
+    dependence, or a trivial Lagrangian's base part has no primitive."""
 
 
 @dataclass(frozen=True)
@@ -230,23 +231,24 @@ def is_lepage(rho: Form) -> Optional[bool]:
 
 
 def _fibre_scale_integral(space: JetSpace, coeff: sp.Expr, kc: int) -> sp.Expr:
-    """int_0^1 u^{kc-1} c(u.[y]) du for polynomial fibre dependence."""
-    u = sp.Dummy("u")
-    subs = {}
-    for s in coeff.free_symbols:
-        coord = space.coordinate_of(s)
-        if coord is not None and coord.kind == "fibre":
-            subs[s] = u * s
-    scaled = sp.expand(coeff.xreplace(subs))
-    try:
-        poly = sp.Poly(scaled, u)
-    except sp.PolynomialError as exc:
-        raise NonPolynomialError(
-            "contact homotopy needs polynomial fibre dependence") from exc
-    out = sp.Integer(0)
-    for (p,), c in poly.terms():
-        out += c * sp.Rational(1, kc + p)
-    return out
+    """int_0^1 u^{kc-1} c(u.[y]) du: each monomial of the expanded c, of
+    degree p in the fibre coordinates, over kc + p.  A fibre coordinate
+    anywhere but under a positive integer power raises NonPolynomialError.
+    """
+    fibre = {s for s in coeff.free_symbols
+             if (c := space.coordinate_of(s)) is not None and c.kind == "fibre"}
+    out = []
+    for term in sp.Add.make_args(sp.expand(coeff)):
+        p = 0
+        for factor in sp.Mul.make_args(term):
+            base, exp = factor.as_base_exp()
+            if base in fibre and isinstance(exp, sp.Integer) and exp > 0:
+                p += int(exp)
+            elif not fibre.isdisjoint(factor.free_symbols):
+                raise NonPolynomialError(
+                    "contact homotopy needs polynomial fibre dependence")
+        out.append(term * sp.Rational(1, kc + p))
+    return sp.Add(*out)
 
 
 def contact_homotopy(rho: Form) -> Form:
@@ -254,7 +256,8 @@ def contact_homotopy(rho: Form) -> Form:
 
     Hooks the radial vertical field sum y^sigma_J d/dy^sigma_J into each
     at-least-1-contact term, scales the fibre coordinates by u, and
-    integrates exactly over u in [0, 1]; horizontal terms map to 0.
+    integrates exactly over u in [0, 1]: a kc-contact term's monomial of
+    fibre degree p is weighted by 1/(kc + p).  Horizontal terms map to 0.
     The homotopy identity lift(rho) = A(d rho) + d(A rho) holds exactly
     for forms with no purely base-dependent horizontal part.
     """
@@ -306,11 +309,14 @@ def classes_equal(a: Form, b: Form) -> Optional[bool]:
 
 def _base_primitive(rho: Form) -> Form:
     """P(f omega0) = g omega_1 with g = int_0^{x^1} f dx^1, so that
-    d_H P(f omega0) = f omega0 for a purely base-dependent n-form."""
+    d_H P(f omega0) = f omega0 for a purely base-dependent n-form; f is
+    integrated by rules (manualintegrate), which fail fast, not by search."""
+    # imported here: the module is slow to load and most runs never get here
+    from sympy.integrals.manualintegrate import manualintegrate
     space = rho.space
     x1 = space.base_symbol(1)
     f = rho.coefficient(tuple(Dx(i) for i in range(1, space.n + 1)))
-    G = sp.integrate(f, x1)
+    G = manualintegrate(f, x1)
     g = G - G.subs(x1, 0)
     if g.has(sp.Integral, sp.Piecewise, *symexpr.NON_FINITE):
         raise NonPolynomialError("no closed-form primitive in %s from %s = 0 "

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 import sympy as sp
@@ -33,3 +34,21 @@ def random_polynomial(space: JetSpace, order: int, rng: random.Random,
             monomial *= rng.choice(symbols)
         out += monomial
     return out
+
+
+class Budget:
+    """Context manager asserting a wall-clock budget in seconds."""
+
+    def __init__(self, seconds):
+        self.seconds = seconds
+
+    def __enter__(self):
+        self.start = time.perf_counter()
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is None:
+            elapsed = time.perf_counter() - self.start
+            assert elapsed < self.seconds, (
+                "budget exceeded: %.2fs >= %ss" % (elapsed, self.seconds))
+        return False

@@ -8,7 +8,6 @@ and asserts its wall-clock budget.
 import json
 import pathlib
 import random
-import time
 
 import pytest
 import sympy as sp
@@ -19,6 +18,7 @@ from varseq import probe, prolong as pr, symexpr, variational as vr
 from varseq.forms import Dx, Omega
 from varseq.jet_space import JetSpace, MultiIndex
 
+from conftest import Budget
 from test_forms import random_form
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -30,24 +30,6 @@ LEV = (J0, J1, J2, J3)
 
 BASES = {1: ("t",), 2: ("t", "x")}
 FIBRES = {1: ("u",), 2: ("u", "v")}
-
-
-class _Budget:
-    """Context manager asserting a wall-clock budget in seconds."""
-
-    def __init__(self, seconds):
-        self.seconds = seconds
-
-    def __enter__(self):
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc_type is None:
-            elapsed = time.perf_counter() - self.start
-            assert elapsed < self.seconds, (
-                "budget exceeded: %.2fs >= %ss" % (elapsed, self.seconds))
-        return False
 
 
 def _mech2():
@@ -69,7 +51,7 @@ def _mech2():
 
 
 def test_criterion_1_schrodinger():
-    with _Budget(1):
+    with Budget(1):
         space = JetSpace(("t", "x"), ("v", "w"))
         hbar, m = sp.symbols("hbar m")
         v, w = space.fibre_symbol(1), space.fibre_symbol(2)
@@ -97,7 +79,7 @@ def test_criterion_1_schrodinger():
 
 
 def test_criterion_2_interior_euler_residual_example():
-    with _Budget(1):
+    with Budget(1):
         space, t, q, dt = _mech2()
         slots = [t] + [q(s, j) for j in (0, 1, 2) for s in (1, 2)]
         A = {(j, s): symexpr.opaque("A%d_%d" % (j, s), *slots)
@@ -135,7 +117,7 @@ def test_criterion_2_interior_euler_residual_example():
 
 
 def test_criterion_3_cartan_forms():
-    with _Budget(5):
+    with Budget(5):
         space, t, q, dt = _mech2()
 
         # degree 1: theta = lambda + dL/dqdot^sigma omega^sigma
@@ -271,7 +253,7 @@ def test_criterion_3_cartan_forms():
 
 
 def test_criterion_4_helmholtz_displays():
-    with _Budget(2):
+    with Budget(2):
         space, t, q, dt = _mech2()
         slots = [t] + [q(s, j) for j in (0, 1, 2) for s in (1, 2)]
         E = {s: symexpr.opaque("E%d" % s, *slots) for s in (1, 2)}
@@ -334,7 +316,7 @@ def test_criterion_4_helmholtz_displays():
 
 
 def test_criterion_5_exactness_randomized():
-    with _Budget(20):
+    with Budget(20):
         for n in (1, 2):
             for m in (1, 2):
                 for r in (1, 2):
@@ -368,7 +350,7 @@ def test_criterion_5_exactness_randomized():
 
 
 def test_criterion_6_homotopy_and_tonti():
-    with _Budget(10):
+    with Budget(10):
         count = 0
         for n in (1, 2):
             for m in (1, 2):
@@ -403,7 +385,7 @@ def test_criterion_6_homotopy_and_tonti():
 
 
 def test_criterion_7_lepage_contract():
-    with _Budget(5):
+    with Budget(5):
         mech = JetSpace(("t",), ("q",))
         t = mech.base_symbol(1)
         q, qt, qtt = (mech.fibre_symbol(1, J) for J in (J0, J1, J2))
@@ -447,7 +429,7 @@ def test_criterion_7_lepage_contract():
 
 
 def test_criterion_8_lie_theorems():
-    with _Budget(10):
+    with Budget(10):
         mech = JetSpace(("t",), ("q",))
         t = mech.base_symbol(1)
         q, qt = mech.fibre_symbol(1), mech.fibre_symbol(1, J1)
@@ -488,7 +470,7 @@ def test_criterion_8_lie_theorems():
 
 
 def test_criterion_9_bosonic_string():
-    with _Budget(5):
+    with Budget(5):
         space = JetSpace(("u", "v"), ("x0", "x1", "x2", "x3"))
         T = sp.Symbol("T")
         g = {0: sp.Integer(1), 1: sp.Integer(-1), 2: sp.Integer(-1),
@@ -595,7 +577,7 @@ def _run_cli(capsys, *argv):
 
 
 def test_criterion_10_cli_golden(capsys):
-    with _Budget(5):
+    with Budget(5):
         # round-trip parse/render on the shipped models
         for name in ("quantum.jv", "mechanics.jv", "helmholtz.jv"):
             text = (ROOT / "models" / name).read_text()

@@ -4,7 +4,7 @@ import sympy as sp
 from varseq import forms as fm
 from varseq import prolong as pr
 from varseq import symexpr, variational as vr
-from varseq.jet_space import JetSpace, MultiIndex
+from varseq.jet_space import JetSpace, MultiIndex, enumerate_coordinates
 
 J1 = MultiIndex((1,))
 J2 = MultiIndex((1, 1))
@@ -92,6 +92,32 @@ def test_first_variation_split_sums_to_lie_derivative(mech, free_particle):
     total = el + boundary
     L = pr.lie_derivative(X, free_particle)
     assert fm.horizontalize(L).equals(total) is True
+    assert fm.d_H(current).equals(boundary) is True
+
+
+def test_first_variation_takes_only_p1_of_d_theta(field2, monkeypatch):
+    slots = [field2.symbol(c) for c in enumerate_coordinates(field2, 1)]
+    lam = symexpr.opaque("L", *slots) * fm.omega0(field2)
+    X = pr.ProjectableVectorField(field2, {}, {1: sp.Symbol("v")})
+    theta = vr.cartan_form(lam)
+    V = pr.adapted_field(pr.prolong(X, theta.order + 1))
+    full = fm.horizontalize(fm.contract(V, fm.exterior_d(theta)))
+    calls = [0]
+    partial = symexpr.partial
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return partial(*args, **kwargs)
+
+    monkeypatch.setattr(symexpr, "partial", counted)
+    vr.cartan_form(lam)
+    pr.prolong(X, theta.order + 1)
+    setup, calls[0] = calls[0], 0
+    el_term, boundary, current = pr.first_variation_split(lam, X)
+    # d theta takes 26 fibre partials, 20 of them on 1-contact terms;
+    # p_1 d theta takes the 6 of d_V(L omega0)
+    assert calls[0] - setup == 6
+    assert el_term.equals(full) is True
     assert fm.d_H(current).equals(boundary) is True
 
 

@@ -2,13 +2,15 @@ import random
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varseq import forms as fm
 from varseq import symexpr, variational as vr
 from varseq.forms import Form, Omega, Dx
 from varseq.jet_space import JetSpace, MultiIndex, enumerate_coordinates
 
-from conftest import random_polynomial
+from conftest import Budget, random_polynomial
 from test_forms import random_form
 
 J1 = MultiIndex((1,))
@@ -238,20 +240,54 @@ def test_trivial_lagrangian_primitive_from_homotopy(lam):
 ], ids=["no-closed-form", "singular-at-0", "conditional"])
 def test_trivial_lagrangian_base_part_refused(base_part):
     lam = (sp.Symbol("q_t") + base_part) * fm.dx(_MECH, 1)
-    with pytest.raises(vr.NonPolynomialError, match="base part"):
+    with Budget(5), pytest.raises(vr.NonPolynomialError, match="base part"):
         vr.is_variationally_trivial(lam)
 
 
 @pytest.mark.parametrize("coeff", [
     "1/q", "sqrt(q)", "q**(1/3)", "sin(q)", "exp(q)", "log(q)", "Abs(q)",
     "q**t", "a**q", "F(q)", "sqrt(q**2)", "q_t/(q**2+1)", "1/(q+t)",
-    "sin(q)**2+cos(q)**2",
+    "sin(q)**2+cos(q)**2", "Derivative(F(q), q)", "q*Derivative(F(q, t), t)",
+    "q**a",
 ])
 def test_contact_homotopy_refuses_non_polynomial_fibre_dependence(coeff):
     expr = sp.sympify(coeff, locals={"F": sp.Function("F")})
     rho = expr * fm.wedge(fm.omega(_MECH, 1), fm.dx(_MECH, 1))
     with pytest.raises(vr.NonPolynomialError, match="polynomial fibre"):
         vr.contact_homotopy(rho)
+
+
+_SCALED_SPACES = (JetSpace(("t",), ("q",)), JetSpace(("t",), ("a", "b")),
+                  JetSpace(("t", "x"), ("v", "w")))
+
+
+@st.composite
+def _fibre_scaling_cases(draw):
+    """A polynomial in the J^1 coordinates, a parameter and base-only
+    factors (sin(t), F(t), pi), possibly unexpanded, and a kc."""
+    space = draw(st.sampled_from(_SCALED_SPACES))
+    t = space.base_symbol(1)
+    atoms = ([space.symbol(c) for c in enumerate_coordinates(space, 1)]
+             + [sp.Symbol("k"), sp.sin(t), sp.Function("F")(t), sp.pi])
+    factor = st.builds(lambda c, xs: c * sp.Mul(*xs), st.integers(-3, 3),
+                       st.lists(st.sampled_from(atoms), max_size=3))
+    coeff = sp.Add(*draw(st.lists(factor, min_size=1, max_size=4)))
+    if draw(st.booleans()):
+        coeff *= draw(st.sampled_from(atoms)) + draw(factor)
+    return space, coeff, draw(st.integers(1, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fibre_scaling_cases())
+def test_fibre_scale_integral_matches_integrate(case):
+    space, coeff, kc = case
+    u = sp.Dummy("u")
+    scaled = coeff.xreplace({s: u * s for s in coeff.free_symbols
+                             if (c := space.coordinate_of(s)) is not None
+                             and c.kind == "fibre"})
+    expected = sp.integrate(u ** (kc - 1) * scaled, (u, 0, 1))
+    got = vr._fibre_scale_integral(space, coeff, kc)
+    assert symexpr.equal(got, expected) is True
 
 
 def test_contact_homotopy_accepts_non_polynomial_base_dependence():
