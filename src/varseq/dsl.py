@@ -11,9 +11,13 @@ Statements are ``;``-terminated::
 Form expressions combine scalars (rationals, parameters, coordinates,
 constants such as ``pi`` and ``E``, opaque calls, the functions of
 ``symexpr.FUNCTIONS``) with the coframe atoms ``d(x)`` and ``w(y,[J])``
-through ``* / + - **`` and the wedge ``^``.  ``d`` of a fibre coordinate
+through ``* / + - **`` and the wedge ``^``.  Binding is tightest first:
+``**``, then unary ``-``, then ``* /``, then ``^``, then ``+ -``; so
+``a * w(q)^d(t)`` is ``(a*w(q))^d(t)``.  ``d`` of a fibre coordinate
 expands through the contact basis.  Multi-indices are bracketed
-base-name lists; unsorted input is canonicalized with a warning.
+base-name lists; unsorted input is canonicalized with a warning.  Commas
+in lists (names, opaque slots and arguments, multi-indices) are
+optional.
 
 A field body is a scalar in which ``D(x)`` stands for the direction
 d/dx of a base or fibre coordinate x.  It must be linear in the
@@ -101,12 +105,7 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-class _Scalar:
-    def __init__(self, expr: sp.Expr) -> None:
-        self.expr = expr
-
-
-_Value = Union[_Scalar, Form]
+_Value = Union[sp.Expr, Form]
 
 
 class _Parser:
@@ -136,31 +135,34 @@ class _Parser:
                            tok.line, tok.col)
         return tok
 
-    def expect_name(self) -> _Token:
+    def expect_name(self, what: str = "identifier") -> _Token:
         tok = self.next()
         if tok.kind != "name":
-            raise DslError("expected identifier, found %r"
-                           % (tok.text or "end"), tok.line, tok.col)
+            raise DslError("expected %s, found %r" % (what, tok.text or "end"),
+                           tok.line, tok.col)
         return tok
+
+    def parse_list(self, close: str, item) -> list:
+        """Items up to ``close``, with optional commas between them."""
+        items = []
+        while self.peek().text != close:
+            if self.peek().text == ",":
+                self.next()
+            else:
+                items.append(item())
+        self.expect(close)
+        return items
 
     # statements
 
     def parse_model(self) -> ModelFile:
         while self.peek().kind != "eof":
             tok = self.expect_name()
-            if tok.text == "space":
-                self.parse_space(tok)
-            elif tok.text == "param":
-                self.parse_param(tok)
-            elif tok.text == "opaque":
-                self.parse_opaque(tok)
-            elif tok.text == "form":
-                self.parse_form(tok)
-            elif tok.text == "field":
-                self.parse_field(tok)
-            else:
+            statement = self.STATEMENTS.get(tok.text)
+            if statement is None:
                 raise DslError("unknown statement %r" % tok.text,
                                tok.line, tok.col)
+            statement(self, tok)
         if self.model is None:
             raise DslError("model contains no space declaration")
         self.model.warnings = self.warnings
@@ -172,17 +174,7 @@ class _Parser:
         return self.model
 
     def parse_names_until(self, terminator: str) -> list[str]:
-        names = []
-        while self.peek().text != terminator:
-            tok = self.next()
-            if tok.text == ",":
-                continue
-            if tok.kind != "name":
-                raise DslError("expected identifier, found %r"
-                               % (tok.text or "end"), tok.line, tok.col)
-            names.append(tok.text)
-        self.expect(terminator)
-        return names
+        return [t.text for t in self.parse_list(terminator, self.expect_name)]
 
     def parse_space(self, tok: _Token) -> None:
         if self.model is not None:
@@ -212,21 +204,17 @@ class _Parser:
         model = self.require_model(tok)
         name = self.expect_name()
         self.expect("(")
-        slots = []
-        while self.peek().text != ")":
-            stok = self.next()
-            if stok.text == ",":
-                continue
-            if stok.kind != "name":
-                raise DslError("expected coordinate name, found %r"
-                               % (stok.text or "end"), stok.line, stok.col)
+
+        def slot() -> sp.Symbol:
+            stok = self.expect_name("coordinate name")
             sym = sp.Symbol(stok.text)
             if model.space.coordinate_of(sym) is None \
                     and stok.text not in model.params:
                 raise DslError("unknown opaque slot %r" % stok.text,
                                stok.line, stok.col)
-            slots.append(sym)
-        self.expect(")")
+            return sym
+
+        slots = self.parse_list(")", slot)
         self.expect(";")
         model.opaques[name.text] = tuple(slots)
 
@@ -241,22 +229,16 @@ class _Parser:
         self.expect("=")
         value = self.parse_expr()
         self.expect(";")
-        if isinstance(value, _Scalar):
-            if value.expr == 0:
-                value = fm.zero(model.space, degree, order)
-            else:
-                value = fm.scalar_form(model.space, value.expr)
-        if not isinstance(value, Form) or value.degree != degree:
-            found = value.degree if isinstance(value, Form) else "non-form"
-            raise DslError("form %r has degree %s, declared %d"
-                           % (name.text, found, degree),
+        if not isinstance(value, Form):  # the scalar 0 is a form of any degree
+            value = fm.zero(model.space, degree) if value == 0 \
+                else fm.scalar_form(model.space, value)
+        if value.degree != degree:
+            raise DslError("form %r has degree %d, declared %d"
+                           % (name.text, value.degree, degree),
                            name.line, name.col)
         try:
-            value = value.canonical()
-            # re-minimize: intermediate ops may have inflated the order
-            value = Form(model.space, value.degree, value.terms,
-                         order=None, _checked=True)
-            value = fm.lift(value, order)
+            # the declared order, not the one intermediate ops carried
+            value = Form(model.space, degree, value.terms, order=order)
         except ValueError as exc:
             raise DslError("form %r violates declared order %d: %s"
                            % (name.text, order, exc), name.line, name.col)
@@ -273,13 +255,13 @@ class _Parser:
         finally:
             self.directions = None
         self.expect(";")
-        if not isinstance(body, _Scalar):
+        if isinstance(body, Form):
             raise _not_a_field(name)
-        _check_finite_real([body.expr], "field", name)
-        components = {c: sp.diff(body.expr, D) for c, D in directions.items()}
+        _check_finite_real([body], "field", name)
+        components = {c: sp.diff(body, D) for c, D in directions.items()}
         linear = sum((v * directions[c] for c, v in components.items()),
                      sp.Integer(0))
-        if sp.expand(body.expr - linear) != 0 or any(
+        if sp.expand(body - linear) != 0 or any(
                 v.has(*directions.values()) for v in components.values()):
             raise _not_a_field(name)
         xi = {c.index: v for c, v in components.items() if c.kind == "base"}
@@ -297,42 +279,22 @@ class _Parser:
                            tok.line, tok.col)
         return int(tok.text)
 
-    # expressions (precedence: ** > unary- > * / > ^ > + -)
+    # expressions
 
-    def parse_expr(self) -> _Value:
-        return self.parse_sum()
-
-    def parse_sum(self) -> _Value:
-        value = self.parse_wedge()
-        while self.peek().text in ("+", "-"):
+    def parse_expr(self, level: int = 0) -> _Value:
+        if level == len(self.LEVELS):
+            return self.parse_unary()
+        ops, combine = self.LEVELS[level]
+        value = self.parse_expr(level + 1)
+        while self.peek().text in ops:
             op = self.next()
-            rhs = self.parse_wedge()
-            value = self.combine_add(value, rhs, op)
-        return value
-
-    def parse_wedge(self) -> _Value:
-        value = self.parse_product()
-        while self.peek().text == "^":
-            op = self.next()
-            rhs = self.parse_product()
-            value = self.combine_wedge(value, rhs, op)
-        return value
-
-    def parse_product(self) -> _Value:
-        value = self.parse_unary()
-        while self.peek().text in ("*", "/"):
-            op = self.next()
-            rhs = self.parse_unary()
-            value = self.combine_mul(value, rhs, op)
+            value = combine(self, value, self.parse_expr(level + 1), op)
         return value
 
     def parse_unary(self) -> _Value:
         if self.peek().text == "-":
-            op = self.next()
-            value = self.parse_unary()
-            if isinstance(value, _Scalar):
-                return _Scalar(-value.expr)
-            return (-1) * value
+            self.next()
+            return -self.parse_unary()
         if self.peek().text == "+":
             self.next()
             return self.parse_unary()
@@ -343,9 +305,9 @@ class _Parser:
         if self.peek().text == "**":
             op = self.next()
             expo = self.parse_unary()
-            if not isinstance(base, _Scalar) or not isinstance(expo, _Scalar):
+            if isinstance(base, Form) or isinstance(expo, Form):
                 raise DslError("** applies to scalars only", op.line, op.col)
-            return _Scalar(base.expr ** expo.expr)
+            return base ** expo
         return base
 
     def parse_atom(self) -> _Value:
@@ -356,7 +318,7 @@ class _Parser:
             self.expect(")")
             return value
         if tok.kind == "num":
-            return _Scalar(sp.Integer(int(tok.text)))
+            return sp.Integer(int(tok.text))
         if tok.kind != "name":
             raise DslError("unexpected %r" % (tok.text or "end"),
                            tok.line, tok.col)
@@ -370,40 +332,37 @@ class _Parser:
             if tok.text == "D":
                 return self.parse_D(tok)
         if tok.text in model.opaques:
-            return _Scalar(self.parse_opaque_call(tok))
+            return self.parse_opaque_call(tok)
         if self.peek().text == "(" and tok.text in symexpr.FUNCTIONS:
             self.expect("(")
             arg = self.parse_expr()
             self.expect(")")
-            if not isinstance(arg, _Scalar):
+            if isinstance(arg, Form):
                 raise DslError("%s applies to scalars" % tok.text,
                                tok.line, tok.col)
-            return _Scalar(symexpr.FUNCTIONS[tok.text](arg.expr))
+            return symexpr.FUNCTIONS[tok.text](arg)
         sym = sp.Symbol(tok.text)
         if model.space.coordinate_of(sym) is not None \
                 or tok.text in model.params:
-            return _Scalar(sym)
+            return sym
         if isinstance(getattr(sp, tok.text, None), sp.NumberSymbol):
-            return _Scalar(getattr(sp, tok.text))  # pi, E, ...
+            return getattr(sp, tok.text)  # pi, E, ...
         raise DslError("unknown identifier %r" % tok.text, tok.line, tok.col)
 
     def parse_opaque_call(self, tok: _Token) -> sp.Expr:
         slots = self.model.opaques[tok.text]
         if self.peek().text == "(":
             self.next()
-            args = []
-            while self.peek().text != ")":
+
+            def arg() -> sp.Expr:
                 atok = self.peek()
-                if atok.text == ",":
-                    self.next()
-                    continue
-                arg = self.parse_expr()
-                if not isinstance(arg, _Scalar):
+                value = self.parse_expr()
+                if isinstance(value, Form):
                     raise DslError("opaque arguments must be scalars",
                                    atok.line, atok.col)
-                args.append(arg.expr)
-            self.expect(")")
-            if tuple(args) != tuple(slots):
+                return value
+
+            if tuple(self.parse_list(")", arg)) != tuple(slots):
                 raise DslError("opaque %r must be applied to its declared "
                                "slots" % tok.text, tok.line, tok.col)
         return symexpr.opaque(tok.text, *slots)
@@ -432,18 +391,17 @@ class _Parser:
 
     def parse_multiindex(self, tok: _Token) -> MultiIndex:
         space = self.model.space
-        entries = []
-        self.expect("[")
-        while self.peek().text != "]":
+
+        def entry() -> int:
             etok = self.next()
-            if etok.text == ",":
-                continue
-            if etok.kind != "name" or etok.text not in space.base_names:
+            if etok.text not in space.base_names:
                 raise DslError("expected base coordinate in multi-index, "
                                "found %r" % (etok.text or "end"),
                                etok.line, etok.col)
-            entries.append(space.base_names.index(etok.text) + 1)
-        self.expect("]")
+            return space.base_names.index(etok.text) + 1
+
+        self.expect("[")
+        entries = self.parse_list("]", entry)
         if entries != sorted(entries):
             self.warnings.append(
                 "line %d: multi-index %s canonicalized to sorted order"
@@ -465,7 +423,7 @@ class _Parser:
         self.expect(")")
         return fm.omega(space, sigma, J)
 
-    def parse_D(self, tok: _Token) -> _Scalar:
+    def parse_D(self, tok: _Token) -> sp.Dummy:
         if self.directions is None:
             raise DslError("D(...) is only valid in field declarations",
                            tok.line, tok.col)
@@ -478,48 +436,47 @@ class _Parser:
         if coord not in self.directions:
             self.directions[coord] = sp.Dummy(
                 "D(%s)" % self.model.space.symbol(coord))
-        return _Scalar(self.directions[coord])
+        return self.directions[coord]
 
     # value combination
 
     def combine_add(self, a: _Value, b: _Value, op: _Token) -> _Value:
-        if isinstance(a, _Scalar) and isinstance(b, _Scalar):
-            return _Scalar(a.expr + op_sign(op) * b.expr)
-        if isinstance(a, Form) and isinstance(b, Form):
+        if op.text == "-":
+            b = -b
+        if isinstance(a, Form) == isinstance(b, Form):
             try:
-                return a + op_sign(op) * b
+                return a + b
             except ValueError as exc:
                 raise DslError(str(exc), op.line, op.col) from exc
         # scalar 0 mixes with anything (e.g. "0 + w(q)")
-        if isinstance(a, _Scalar) and a.expr == 0 and isinstance(b, Form):
-            return op_sign(op) * b
-        if isinstance(b, _Scalar) and b.expr == 0 and isinstance(a, Form):
+        if not isinstance(a, Form) and a == 0:
+            return b
+        if not isinstance(b, Form) and b == 0:
             return a
         raise DslError("cannot add a scalar and a form", op.line, op.col)
 
-    def combine_mul(self, a: _Value, b: _Value, op: _Token) -> _Value:
-        if op.text == "/":
-            if not isinstance(b, _Scalar):
-                raise DslError("division by a form", op.line, op.col)
-            if isinstance(a, _Scalar):
-                return _Scalar(a.expr / b.expr)
-            return a * (sp.Integer(1) / b.expr)
-        if isinstance(a, _Scalar) and isinstance(b, _Scalar):
-            return _Scalar(a.expr * b.expr)
-        if isinstance(a, _Scalar):
-            return b * a.expr
-        if isinstance(b, _Scalar):
-            return a * b.expr
-        raise DslError("use ^ to multiply forms", op.line, op.col)
-
-    def combine_wedge(self, a: _Value, b: _Value, op: _Token) -> _Value:
-        if isinstance(a, _Scalar):
-            a = fm.scalar_form(self.model.space, a.expr)
-        if isinstance(b, _Scalar):
-            b = fm.scalar_form(self.model.space, b.expr)
-        if not isinstance(a, Form) or not isinstance(b, Form):
-            raise DslError("wedge applies to forms", op.line, op.col)
+    def combine_wedge(self, a: _Value, b: _Value, op: _Token) -> Form:
+        a, b = (v if isinstance(v, Form) else
+                fm.scalar_form(self.model.space, v) for v in (a, b))
         return fm.wedge(a, b)
+
+    def combine_mul(self, a: _Value, b: _Value, op: _Token) -> _Value:
+        if isinstance(b, Form):
+            if op.text == "/":
+                raise DslError("division by a form", op.line, op.col)
+            if isinstance(a, Form):
+                raise DslError("use ^ to multiply forms", op.line, op.col)
+            return b * a
+        if op.text == "/":
+            b = sp.Integer(1) / b
+        return a * b
+
+    # loosest first; parse_expr(level) reads a chain of level's operators
+    LEVELS = ((("+", "-"), combine_add), (("^",), combine_wedge),
+              (("*", "/"), combine_mul))
+    STATEMENTS = {"space": parse_space, "param": parse_param,
+                  "opaque": parse_opaque, "form": parse_form,
+                  "field": parse_field}
 
 
 def _not_a_field(name: _Token) -> DslError:
@@ -537,12 +494,6 @@ def _check_finite_real(coeffs, what: str, name: _Token) -> None:
                            name.line, name.col)
 
 
-def op_sign(op: _Token) -> int:
-    return -1 if op.text == "-" else 1
-
-
 def parse(text: str) -> ModelFile:
     """Parse model text into a :class:`ModelFile`."""
-    parser = _Parser(text)
-    model = parser.parse_model()
-    return model
+    return _Parser(text).parse_model()

@@ -104,9 +104,9 @@ def prolong(X: ProjectableVectorField, r: int) -> ProlongedVectorField:
         raise ValueError("prolongation order must be >= 0")
     space = X.space
     comps: dict[tuple[int, MultiIndex], sp.Expr] = {}
-    dxi = {(l, i): symexpr.partial(space, X.xi.get(l, sp.Integer(0)),
-                                   space.base_symbol(i))
-           for l in range(1, space.n + 1) for i in range(1, space.n + 1)}
+    # dxi^l/dx^i for the l with a base component xi^l
+    dxi = {i: [(l, symexpr.partial(space, X.xi[l], space.base_symbol(i)))
+               for l in sorted(X.xi)] for i in range(1, space.n + 1)}
     for sigma in range(1, space.m + 1):
         comps[(sigma, MultiIndex())] = X.Xi.get(sigma, sp.Integer(0))
     for k in range(r):
@@ -118,8 +118,7 @@ def prolong(X: ProjectableVectorField, r: int) -> ProlongedVectorField:
                     if (sigma, K) in comps:
                         continue
                     out = symexpr.total_derivative(space, base, i)
-                    for l in range(1, space.n + 1):
-                        d = dxi[(l, i)]
+                    for l, d in dxi[i]:
                         if d != 0:
                             out -= space.fibre_symbol(sigma, J.append(l)) * d
                     comps[(sigma, K)] = out

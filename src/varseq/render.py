@@ -11,7 +11,6 @@ from __future__ import annotations
 import sympy as sp
 
 from .jet_space import JetSpace
-from . import symexpr
 from .forms import Dx, Form, _atom_str, form_to_json
 from .dsl import ModelFile
 
@@ -30,7 +29,7 @@ def scalar_text(expr) -> str:
 
 
 def scalar_latex(expr) -> str:
-    return symexpr.expr_to_latex(expr)
+    return sp.latex(sp.sympify(expr))
 
 
 def _atom_latex(space: JetSpace, a) -> str:
@@ -43,32 +42,26 @@ def _atom_latex(space: JetSpace, a) -> str:
     return r"\omega^{%s}" % name
 
 
-def _sorted_terms(rho: Form):
-    return sorted(rho.terms, key=lambda t: [a.sort_key for a in t])
+def _render(rho: Form, coeff: str, scalar, atom, wedge: str,
+            times: str) -> str:
+    """The terms of rho in atom order, as ``coeff % scalar(c)`` followed
+    by ``times`` and the atoms joined by ``wedge``."""
+    rho = rho.canonical()
+    bits = []
+    for atoms in sorted(rho.terms, key=lambda t: [a.sort_key for a in t]):
+        atom_str = wedge.join(atom(rho.space, a) for a in atoms)
+        bits.append(coeff % scalar(rho.terms[atoms])
+                    + (times + atom_str if atom_str else ""))
+    return " + ".join(bits) or "0"
 
 
 def form_text(rho: Form) -> str:
-    rho = rho.canonical()
-    if not rho.terms:
-        return "0"
-    bits = []
-    for atoms in _sorted_terms(rho):
-        coeff = "(%s)" % scalar_text(rho.terms[atoms])
-        atom_str = "^".join(_atom_str(rho.space, a) for a in atoms)
-        bits.append(coeff + (" * " + atom_str if atom_str else ""))
-    return " + ".join(bits)
+    return _render(rho, "(%s)", scalar_text, _atom_str, "^", " * ")
 
 
 def form_latex(rho: Form) -> str:
-    rho = rho.canonical()
-    if not rho.terms:
-        return "0"
-    bits = []
-    for atoms in _sorted_terms(rho):
-        coeff = r"\left(%s\right)" % scalar_latex(rho.terms[atoms])
-        atom_str = r" \wedge ".join(_atom_latex(rho.space, a) for a in atoms)
-        bits.append(coeff + (r"\, " + atom_str if atom_str else ""))
-    return " + ".join(bits)
+    return _render(rho, r"\left(%s\right)", scalar_latex, _atom_latex,
+                   r" \wedge ", r"\, ")
 
 
 def form_json(rho: Form) -> dict:

@@ -43,7 +43,6 @@ __all__ = [
     "UndefinedAt",
     "expr_to_json",
     "expr_from_json",
-    "expr_to_latex",
 ]
 
 # Values no exact coefficient may hold: what 1/0, 0/0 or log(0) give.
@@ -472,7 +471,3 @@ def expr_from_json(node: object) -> sp.Expr:
         vc = [(sp.Symbol(v["name"]), v["count"]) for v in node["vars"]]
         return sp.Derivative(f, *vc)
     raise ValueError("unknown expression node kind: %r" % (kind,))
-
-
-def expr_to_latex(e: sp.Expr) -> str:
-    return sp.latex(sp.sympify(e))

@@ -1,4 +1,7 @@
 import json
+import pathlib
+import random
+import re
 
 import pytest
 import sympy as sp
@@ -9,6 +12,8 @@ from varseq import cli, dsl, render, symexpr
 from varseq import forms as fm
 from varseq.forms import Dx, Omega
 from varseq.jet_space import MultiIndex
+
+from conftest import Budget
 
 MECH = """
 space { base t; fibre q; }
@@ -46,6 +51,69 @@ def test_parse_undeclared_and_order_violation():
                   "form f : degree 1 order 1 = q_tt * d(t);")
 
 
+HEAD = "space { base t; fibre q; }\n"
+FORM = HEAD + "form f : degree 1 order 1 = "
+
+
+@pytest.mark.parametrize("text, message, line, col", [
+    ("", "model contains no space declaration", 0, 0),
+    ("foo x;", "unknown statement 'foo'", 1, 1),
+    ("param m;", "space must be declared first", 1, 1),
+    (HEAD + "space { base t; fibre q; }", "duplicate space declaration",
+     2, 1),
+    ("space { base t, 1; fibre q; }", "expected identifier, found '1'",
+     1, 17),
+    ("space { base t, t; fibre q; }",
+     "coordinate names must be pairwise distinct", 1, 1),
+    (HEAD + "param q;", "parameter 'q' shadows a coordinate", 2, 1),
+    (HEAD + "opaque L(t, 1);", "expected coordinate name, found '1'",
+     2, 13),
+    (HEAD + "opaque L(t, z);", "unknown opaque slot 'z'", 2, 13),
+    (HEAD + "opaque L(t);\nform f : degree 1 order 1 = L(d(t)) * d(t);",
+     "opaque arguments must be scalars", 3, 31),
+    (HEAD + "opaque L(t);\nform f : degree 1 order 1 = L(q) * d(t);",
+     "opaque 'L' must be applied to its declared slots", 3, 29),
+    (HEAD + "form 3 : degree 1 order 1 = d(t);",
+     "expected identifier, found '3'", 2, 6),
+    (HEAD + "form f degree 1 order 1 = d(t);",
+     "expected ':', found 'degree'", 2, 8),
+    (HEAD + "form f : degree x order 1 = d(t);",
+     "expected integer, found 'x'", 2, 17),
+    (FORM + "d(t)", "expected ';', found 'end'", 2, 33),
+    (FORM + "d(t) $;", "unexpected character '$'", 2, 34),
+    (FORM + ") ;", "unexpected ')'", 2, 29),
+    (FORM + "zz * d(t);", "unknown identifier 'zz'", 2, 29),
+    (FORM + "d(z);", "unknown coordinate 'z' in d(...)", 2, 31),
+    (FORM + "w(t);", "unknown fibre coordinate 't'", 2, 31),
+    (HEAD + "form f : degree 1 order 2 = w(q,[t,q]);",
+     "expected base coordinate in multi-index, found 'q'", 2, 36),
+    (FORM + "sin(d(t));", "sin applies to scalars", 2, 29),
+    (FORM + "d(t)**2;", "** applies to scalars only", 2, 33),
+    (FORM + "1 / d(t);", "division by a form", 2, 31),
+    (FORM + "d(t) * d(t);", "use ^ to multiply forms", 2, 34),
+    (FORM + "1 + d(t);", "cannot add a scalar and a form", 2, 31),
+    (FORM + "d(t) + w(q)^d(t);",
+     "cannot add forms of different space or degree", 2, 34),
+    (HEAD + "form f : degree 2 order 1 = d(t);",
+     "form 'f' has degree 1, declared 2", 2, 6),
+    (FORM + "q_tt * d(t);",
+     "form 'f' violates declared order 1: declared order 1 below minimal "
+     "order 2", 2, 6),
+    (FORM + "D(q) * d(t);", "D(...) is only valid in field declarations",
+     2, 29),
+    (HEAD + "field X = D(z);", "unknown coordinate 'z' in D(...)", 2, 13),
+    (HEAD + "field X = D(q_t);",
+     "field components attach to d/dx^i and d/dy^sigma only", 2, 11),
+    (HEAD + "field X = d(t);",
+     "field 'X' must be a sum of <expr> * D(<coord>) terms", 2, 7),
+])
+def test_parse_error_messages_and_locations(text, message, line, col):
+    with pytest.raises(dsl.DslError) as err:
+        dsl.parse(text)
+    assert (err.value.message, err.value.line, err.value.col) \
+        == (message, line, col)
+
+
 def test_parse_empty_fibre_rejected():
     with pytest.raises(dsl.DslError):
         dsl.parse("space { base t; fibre ; }")
@@ -54,7 +122,8 @@ def test_parse_empty_fibre_rejected():
 def test_multiindex_canonicalized_with_warning():
     model = dsl.parse("space { base t x; fibre q; }\n"
                       "form f : degree 1 order 4 = w(q,[x,t,x]);")
-    assert model.warnings
+    assert model.warnings == [
+        "line 2: multi-index [2, 1, 2] canonicalized to sorted order"]
     (atoms,) = model.forms["f"].terms
     assert atoms == (Omega(1, MultiIndex((1, 2, 2))),)
 
@@ -431,3 +500,52 @@ def test_cli_tonti_unknown_verdict_exits_zero(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["result"] == {"locally_variational": "unknown"}
     assert not list(_output_validator().iter_errors(payload))
+
+
+_TOKEN = re.compile(r"\*\*|\w+|\S")
+
+
+def _fuzz_sources():
+    models = pathlib.Path(__file__).resolve().parent.parent / "models"
+    texts = [p.read_text() for p in sorted(models.glob("*.jv"))]
+    texts += [MECH, CONSTANTS, HIDDEN_ZERO,
+              FIELD_HEADER + "field X = t * D(t) - m * q * D(q);",
+              FIELD_HEADER + "opaque L(t, q);\n"
+              "form f : degree 2 order 1 = L(t, q) * w(q)^d(t) / 2;",
+              "space { base t, x; fibre q; }\n"
+              "form f : degree 2 order 4 = w(q,[x,t,x])^d(t) + 0;"]
+    return [_TOKEN.findall(re.sub(r"#[^\n]*", "", t)) for t in texts]
+
+
+def _mutants(seed, count):
+    """Token-level mutants of the models and snippets: each deletes,
+    inserts (a token drawn from all sources) or duplicates 1-3 tokens."""
+    rng = random.Random(seed)
+    sources = _fuzz_sources()
+    pool = sorted({tok for src in sources for tok in src})
+    for _ in range(count):
+        toks = list(rng.choice(sources))
+        for _ in range(rng.randint(1, 3)):
+            k = rng.randrange(len(toks))
+            action = rng.choice(("delete", "insert", "duplicate"))
+            if action == "delete":
+                del toks[k]
+            elif action == "insert":
+                toks.insert(k, rng.choice(pool))
+            else:
+                toks.insert(k, toks[k])
+        yield " ".join(toks)
+
+
+def test_mutated_models_parse_or_raise_dsl_error():
+    parsed = 0
+    with Budget(10):
+        for text in _mutants(seed=2015, count=1000):
+            try:
+                model = dsl.parse(text)
+            except dsl.DslError:
+                continue
+            parsed += 1
+            rendered = render.render_model(model)
+            assert render.render_model(dsl.parse(rendered)) == rendered, text
+    assert 0 < parsed < 1000

@@ -121,6 +121,28 @@ def test_first_variation_takes_only_p1_of_d_theta(field2, monkeypatch):
     assert fm.d_H(current).equals(boundary) is True
 
 
+def test_prolong_of_vertical_field_takes_no_base_partials(field2,
+                                                          monkeypatch):
+    v, w = field2.fibre_symbol(1), field2.fibre_symbol(2)
+    Xi = {1: v * w, 2: field2.base_symbol(1) * v}
+    X = pr.ProjectableVectorField(field2, {}, Xi)
+    calls = [0]
+    partial = symexpr.partial
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return partial(*args, **kwargs)
+
+    monkeypatch.setattr(symexpr, "partial", counted)
+    Z = pr.prolong(X, 2)
+    assert calls[0] == 0
+    for sigma, e in Xi.items():
+        for J in (MultiIndex(), J1, MultiIndex((2,)), J2,
+                  MultiIndex((1, 2)), MultiIndex((2, 2))):
+            assert Z.component(sigma, J) \
+                == symexpr.total_derivative_multi(field2, e, J)
+
+
 def test_symmetry_check(mech, free_particle):
     shift = pr.ProjectableVectorField(mech, {}, {1: sp.Integer(1)})
     scale = pr.ProjectableVectorField(mech, {}, {1: sp.Symbol("q")})
