@@ -191,18 +191,35 @@ class _Parser:
             raise DslError(str(exc), tok.line, tok.col) from exc
         self.model = ModelFile(space)
 
+    def check_new_name(self, what: str, name: str, tok: _Token) -> None:
+        """Refuse a name that hides another or that rendered text reads
+        back as something else (function and builtin names only when
+        applied, so a parameter may take them)."""
+        model = self.model
+        opaque = what == "opaque"
+        for kind, taken in (
+                ("a coordinate", model.space.coordinate_of(sp.Symbol(name))),
+                ("a parameter", opaque and name in model.params),
+                ("an opaque", name in model.opaques),
+                ("a constant",
+                 isinstance(getattr(sp, name, None), sp.NumberSymbol)),
+                ("a function", opaque and name in symexpr.FUNCTIONS),
+                ("a builtin", opaque and name in ("d", "w", "D"))):
+            if taken:
+                raise DslError("%s %r shadows %s" % (what, name, kind),
+                               tok.line, tok.col)
+
     def parse_param(self, tok: _Token) -> None:
         model = self.require_model(tok)
         names = self.parse_names_until(";")
         for name in names:
-            if model.space.coordinate_of(sp.Symbol(name)) is not None:
-                raise DslError("parameter %r shadows a coordinate" % name,
-                               tok.line, tok.col)
+            self.check_new_name("parameter", name, tok)
         model.params = model.params + tuple(names)
 
     def parse_opaque(self, tok: _Token) -> None:
         model = self.require_model(tok)
         name = self.expect_name()
+        self.check_new_name("opaque", name.text, name)
         self.expect("(")
 
         def slot() -> sp.Symbol:

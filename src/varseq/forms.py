@@ -92,8 +92,8 @@ def _sort_atoms(atoms: Iterable[Atom]) -> Optional[tuple[tuple[Atom, ...], int]]
 
 def _add_term(terms: dict, atoms: Iterable[Atom], coeff: sp.Expr,
               *factors: sp.Expr) -> None:
-    """terms += sign * coeff * factors on the sorted atoms, where sign is
-    the sorting parity; a repeated atom makes the term vanish."""
+    """Append sign * coeff * factors to the summand list of the sorted
+    atoms, sign the sorting parity; a repeated atom makes it vanish."""
     srt = _sort_atoms(atoms)
     if srt is None:
         return
@@ -101,20 +101,21 @@ def _add_term(terms: dict, atoms: Iterable[Atom], coeff: sp.Expr,
     coeff = sign * coeff
     for f in factors:
         coeff = coeff * f
-    terms[atoms] = terms.get(atoms, 0) + coeff
+    terms.setdefault(atoms, []).append(coeff)
 
 
 class Form:
     """A differential form on J^s Y in the contact-adapted coframe."""
 
     def __init__(self, space: JetSpace, degree: int,
-                 terms: Mapping[tuple[Atom, ...], sp.Expr],
+                 terms: Mapping[tuple[Atom, ...], sp.Expr | list],
                  order: Optional[int] = None, _checked: bool = False) -> None:
         self.space = space
         self.degree = degree
         clean: dict[tuple[Atom, ...], sp.Expr] = {}
         for atoms, coeff in terms.items():
-            coeff = sp.sympify(coeff)
+            coeff = (sp.Add(*coeff) if isinstance(coeff, list)
+                     else sp.sympify(coeff))
             if not _checked:
                 # user-facing path: canonicalize eagerly
                 coeff = sp.expand(coeff)
@@ -126,12 +127,11 @@ class Form:
                 if srt is None:
                     continue
                 atoms, sign = srt
-                coeff = sign * coeff
-            elif coeff == 0:
-                continue
-            clean[atoms] = clean.get(atoms, 0) + coeff
-            if clean[atoms] == 0:
-                del clean[atoms]
+                coeff = clean.get(atoms, 0) + sign * coeff
+            if coeff != 0:
+                clean[atoms] = coeff
+            else:
+                clean.pop(atoms, None)
         self.terms = clean
         minimal = self.minimal_order()
         if order is None:
@@ -192,19 +192,20 @@ class Form:
 
     # ring structure
 
-    def __add__(self, other: "Form") -> "Form":
+    def __add__(self, other: "Form", sign: sp.Expr = sp.S.One) -> "Form":
+        """self + sign * other, each coefficient summed once."""
         if not isinstance(other, Form):
             return NotImplemented
         if other.space != self.space or other.degree != self.degree:
             raise ValueError("cannot add forms of different space or degree")
-        terms = dict(self.terms)
+        terms = {atoms: [coeff] for atoms, coeff in self.terms.items()}
         for atoms, coeff in other.terms.items():
-            terms[atoms] = terms.get(atoms, 0) + coeff
+            terms.setdefault(atoms, []).append(sign * coeff)
         return Form(self.space, self.degree, terms,
                     order=max(self.order, other.order), _checked=True)
 
     def __sub__(self, other: "Form") -> "Form":
-        return self + (-1) * other
+        return self.__add__(other, sp.S.NegativeOne)
 
     def __neg__(self) -> "Form":
         return (-1) * self
@@ -417,7 +418,7 @@ def contract(X: AdaptedVectorField, rho: Form) -> Form:
             if comp is None or comp == 0:
                 continue
             rest = atoms[:p] + atoms[p + 1:]
-            terms[rest] = terms.get(rest, 0) + ((-1) ** p) * comp * coeff
+            terms.setdefault(rest, []).append(((-1) ** p) * comp * coeff)
     order = rho.order
     for comp in list(X.base.values()) + list(X.vertical.values()):
         order = max(order, rho.space.jet_order(comp))

@@ -187,9 +187,9 @@ def _atom_slots(e: sp.Expr) -> Optional[tuple]:
 def _atom_partial(e: sp.Expr, s: sp.Symbol) -> sp.Expr:
     """d e/d s for an atom with distinct symbol slots, s one of them.
 
-    Builds the merged derivative record directly (matching sympy's
-    canonical variable ordering) instead of going through sp.diff,
-    which is an order of magnitude faster on derivative atoms.
+    Builds the merged derivative record directly from the args that
+    Derivative(e, *pairs, evaluate=False) stores, in sympy's canonical
+    variable order, skipping sp.diff and Derivative's argument checks.
     """
     key = (s, e)
     out = _TD_CACHE.get(key)
@@ -202,7 +202,8 @@ def _atom_partial(e: sp.Expr, s: sp.Symbol) -> sp.Expr:
         e = e.expr
     vc[s] = vc.get(s, 0) + 1
     pairs = sorted(vc.items(), key=lambda p: sp.default_sort_key(p[0]))
-    return _remember(key, sp.Derivative(e, *pairs, evaluate=False))
+    return _remember(key, sp.Expr.__new__(
+        sp.Derivative, e, *[sp.Tuple(v, c) for v, c in pairs]))
 
 
 def total_derivative_multi(space: JetSpace, e: sp.Expr, J: MultiIndex) -> sp.Expr:

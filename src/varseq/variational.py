@@ -1,9 +1,9 @@
 """Representation machinery of the variational sequence.
 
 Implements the interior Euler operator I and the residual operator R,
-both from one integration-by-parts pass over p_k rho, with the defining
-identity p_k rho = I(rho) + p_k d R(rho) = I(rho) + d_H R(rho) checked
-on every residual call against a d_H taken apart from that pass; the
+both from one Horner-order integration-by-parts pass over p_k rho, with
+the identity p_k rho = I(rho) + p_k d R(rho) = I(rho) + d_H R(rho)
+checked on every residual call against a d_H taken apart from it; the
 Euler-Lagrange and Helmholtz morphisms, Cartan forms and Lepage
 equivalents in every degree, the fibre-scaling contact homotopy
 operator A (Tonti Lagrangians), and triviality/variationality checks.
@@ -73,22 +73,20 @@ def _check_source_degree(rho: Form) -> int:
     return k
 
 
-def _td_contact(space: JetSpace, eta: dict, i: int) -> dict:
-    """The total derivative L_{d_i} of a purely contact wedge, as terms.
+def _td_contact(space: JetSpace, eta: dict, i: int, out: dict) -> None:
+    """Add the total derivative L_{d_i} of a purely contact wedge to out.
 
     Acts as d_i on coefficients and bumps each omega^nu_K to
     omega^nu_{Ki}; an even derivation, so no Koszul signs beyond the
     canonical re-sorting.
     """
-    terms: dict = {}
     for atoms, coeff in eta.items():
         di = symexpr.total_derivative(space, coeff, i)
         if di != 0:
-            fm._add_term(terms, atoms, di)
+            fm._add_term(out, atoms, di)
         for p, a in enumerate(atoms):
             bumped = atoms[:p] + (Omega(a.sigma, a.J.append(i)),) + atoms[p + 1:]
-            fm._add_term(terms, bumped, coeff)
-    return terms
+            fm._add_term(out, bumped, coeff)
 
 
 def _integrate_by_parts(rho: Form, with_residual: bool):
@@ -96,16 +94,17 @@ def _integrate_by_parts(rho: Form, with_residual: bool):
 
     Writes mu = F ^ omega0 and spreads F over its slots, F = sum
     omega^sigma_J ^ eta with eta = (1/k) (d/dy^sigma_J hook F), the
-    Euler-identity decomposition of a k-contact wedge.  Each slot with
-    |J| >= 1 loses the last index i of J = K i at every step via
+    Euler-identity decomposition of a k-contact wedge; slot J stores
+    (-1)^|J| eta, the sign folded into its rational factor.  Slots are
+    summed and taken from the highest |J| down, so each is differentiated
+    once (Horner order): with J = K i, i the last index,
 
         omega^sigma_{Ki} ^ eta = L_{d_i}(omega^sigma_K ^ eta)
-                                 - omega^sigma_K ^ L_{d_i} eta,
+                                 - omega^sigma_K ^ L_{d_i} eta
 
-    which puts (-1)^k (omega^sigma_K ^ eta) ^ omega_i into R.  What is
-    left, omega^sigma ^ (-1)^|J| d_J eta ^ omega0, is the slot's part of
-    I.  The sign (-1)^|J| is carried as an integer, so total derivatives
-    see the coefficients as they are.  R is None unless with_residual.
+    adds L_{d_i} of the stored wedge to slot K and (-1)^(k+|J|)
+    (omega^sigma_K ^ stored) ^ omega_i to R.  Slot J = () gives I its
+    omega^sigma ^ stored ^ omega0.  R is None unless with_residual.
     """
     k = _check_source_degree(rho)
     space = rho.space
@@ -117,30 +116,29 @@ def _integrate_by_parts(rho: Form, with_residual: bool):
         w_atoms = atoms[n:]   # the dx atoms sort first
         for p, a in enumerate(w_atoms):
             rest = w_atoms[:p] + w_atoms[p + 1:]
-            slots.setdefault((a.sigma, a.J), {})[rest] = (
-                sp.Rational((-1) ** (k * n + p), k) * coeff)
+            slots.setdefault((a.sigma, a.J), {})[rest] = [
+                sp.Rational((-1) ** (k * n + p + len(a.J)), k) * coeff]
     top = max((len(J) for _, J in slots), default=0)
     I_terms: dict = {}
     R_terms: dict = {}
-    for (sigma, J), eta in sorted(slots.items()):
-        sign = 1
-        while len(J):
-            K, i = J.drop_last()
-            if with_residual:
-                bound = tuple(Dx(j) for j in range(1, n + 1) if j != i)
-                factor = sp.Integer((-1) ** (k + i - 1) * sign)
-                for atoms, coeff in eta.items():
-                    fm._add_term(R_terms, (Omega(sigma, K),) + atoms + bound,
-                                 factor, coeff)
-            eta = _td_contact(space, eta, i)
-            sign = -sign
-            J = K
-        factor = sp.Integer(sign)
-        for atoms, coeff in eta.items():
-            fm._add_term(I_terms, (Omega(sigma),) + atoms + volume,
-                         factor, coeff)
+    while slots:
+        sigma, J = max(slots, key=lambda slot: len(slot[1]))
+        eta = {atoms: c for atoms, parts in slots.pop((sigma, J)).items()
+               if (c := sp.Add(*parts)) != 0}
+        if not len(J):
+            for atoms, coeff in eta.items():
+                fm._add_term(I_terms, (Omega(sigma),) + atoms + volume, coeff)
+            continue
+        K, i = J.drop_last()
+        if with_residual:
+            bound = tuple(Dx(j) for j in range(1, n + 1) if j != i)
+            factor = sp.Integer((-1) ** (k + i - 1 + len(J)))
+            for atoms, coeff in eta.items():
+                fm._add_term(R_terms, (Omega(sigma, K),) + atoms + bound,
+                             factor, coeff)
+        _td_contact(space, eta, i, slots.setdefault((sigma, K), {}))
     I = Form(space, rho.degree, I_terms,
-             order=mu.order + top if slots else 0, _checked=True)
+             order=mu.order + top if mu.terms else 0, _checked=True)
     R = (Form(space, rho.degree - 1, R_terms,
               order=mu.order + top - 1 if top else 0, _checked=True)
          if with_residual else None)
@@ -273,7 +271,7 @@ def contact_homotopy(rho: Form) -> Form:
                 continue
             hooked = space.fibre_symbol(a.sigma, a.J)
             rest = atoms[:p] + atoms[p + 1:]
-            terms[rest] = terms.get(rest, 0) + ((-1) ** p) * hooked * weight
+            terms.setdefault(rest, []).append(((-1) ** p) * hooked * weight)
     return Form(space, rho.degree - 1, terms, order=rho.order, _checked=True)
 
 
@@ -310,13 +308,16 @@ def classes_equal(a: Form, b: Form) -> Optional[bool]:
 def _base_primitive(rho: Form) -> Form:
     """P(f omega0) = g omega_1 with g = int_0^{x^1} f dx^1, so that
     d_H P(f omega0) = f omega0 for a purely base-dependent n-form; f is
-    integrated by rules (manualintegrate), which fail fast, not by search."""
-    # imported here: the module is slow to load and most runs never get here
-    from sympy.integrals.manualintegrate import manualintegrate
+    integrated as a polynomial in x^1 where it is one, else by rules
+    (manualintegrate), which fail fast, not by search."""
     space = rho.space
     x1 = space.base_symbol(1)
     f = rho.coefficient(tuple(Dx(i) for i in range(1, space.n + 1)))
-    G = manualintegrate(f, x1)
+    poly = f.as_poly(x1)
+    if poly is None:
+        # imported here: the module is slow to load and few runs get here
+        from sympy.integrals.manualintegrate import manualintegrate
+    G = manualintegrate(f, x1) if poly is None else poly.integrate().as_expr()
     g = G - G.subs(x1, 0)
     if g.has(sp.Integral, sp.Piecewise, *symexpr.NON_FINITE):
         raise NonPolynomialError("no closed-form primitive in %s from %s = 0 "

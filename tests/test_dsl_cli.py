@@ -66,6 +66,19 @@ FORM = HEAD + "form f : degree 1 order 1 = "
     ("space { base t, t; fibre q; }",
      "coordinate names must be pairwise distinct", 1, 1),
     (HEAD + "param q;", "parameter 'q' shadows a coordinate", 2, 1),
+    (HEAD + "param m E;", "parameter 'E' shadows a constant", 2, 1),
+    (HEAD + "opaque L(t);\nparam L;", "parameter 'L' shadows an opaque",
+     3, 1),
+    (HEAD + "opaque d(t, q);", "opaque 'd' shadows a builtin", 2, 8),
+    (HEAD + "opaque w(t);", "opaque 'w' shadows a builtin", 2, 8),
+    (HEAD + "opaque D(t);", "opaque 'D' shadows a builtin", 2, 8),
+    (HEAD + "opaque q(t);", "opaque 'q' shadows a coordinate", 2, 8),
+    (HEAD + "param m;\nopaque m(t);", "opaque 'm' shadows a parameter",
+     3, 8),
+    (HEAD + "opaque L(t);\nopaque L(t, q);", "opaque 'L' shadows an opaque",
+     3, 8),
+    (HEAD + "opaque E(t, q);", "opaque 'E' shadows a constant", 2, 8),
+    (HEAD + "opaque exp(t);", "opaque 'exp' shadows a function", 2, 8),
     (HEAD + "opaque L(t, 1);", "expected coordinate name, found '1'",
      2, 13),
     (HEAD + "opaque L(t, z);", "unknown opaque slot 'z'", 2, 13),
@@ -286,6 +299,25 @@ def test_opaque_declaration_and_use():
                       "form lam : degree 1 order 1 = L * d(t);")
     coeff = model.forms["lam"].coefficient((Dx(1),))
     assert coeff.func.__name__ == "L"
+
+
+@pytest.mark.parametrize("text", [
+    HEAD + "opaque d(t, q);\nform f : degree 1 order 1 = d * d(t);",
+    HEAD + "opaque E(t, q);\nform f : degree 1 order 1 = (E + exp(1)) * d(t);",
+    HEAD + "param E;\nform f : degree 1 order 1 = (E + exp(1)) * d(t);",
+    HEAD + "param d w D sin;\n"
+    "form f : degree 1 order 1 = (d + w + D + sin + sin(t)) * d(q);",
+])
+def test_names_the_renderer_writes_back(text):
+    # a model that parses renders to text that parses to the same model;
+    # names the rendering would read back as something else are refused
+    try:
+        model = dsl.parse(text)
+    except dsl.DslError:
+        return
+    again = dsl.parse(render.render_model(model))
+    assert (again.params, again.opaques) == (model.params, model.opaques)
+    assert again.forms["f"].equals(model.forms["f"]) is True
 
 
 def test_render_parse_round_trip():

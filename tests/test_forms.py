@@ -284,3 +284,39 @@ def test_order_and_atoms_validated_on_both_paths(mech, checked):
     with pytest.raises(ValueError, match="atom outside space"):
         Form(mech, 1, {(Dx(2),): sp.Integer(1)}, _checked=checked)
     assert Form(mech, 1, {(Dx(1),): qt}, _checked=checked).order == 1
+
+
+def _summed_one_by_one(products):
+    """The coefficients of sum sign * f1 * f2 * ... over (atoms, factors),
+    each summand added to its running total as it comes; the reference
+    for the builders, which add a coefficient's summands at once."""
+    terms = {}
+    for atoms, factors in products:
+        srt = fm._sort_atoms(atoms)
+        if srt is None:
+            continue
+        coeff = srt[1] * factors[0]
+        for f in factors[1:]:
+            coeff = coeff * f
+        terms[srt[0]] = terms.get(srt[0], 0) + coeff
+    return {atoms: sp.srepr(c) for atoms, c in terms.items() if c != 0}
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10_000))
+def test_sums_match_term_by_term_reference(seed):
+    space = JetSpace(("t", "x"), ("v",))
+    t, v = sp.symbols("t v")
+    rng = random.Random(seed)
+    a, b = ((t + v) * random_form(space, 2, 1, rng) for _ in range(2))
+    c = random_form(space, 1, 1, rng)
+    a_items, b_items = ([(atoms, (coeff,)) for atoms, coeff in f.terms.items()]
+                        for f in (a, b))
+    minus_b = [(atoms, (sp.S.NegativeOne * coeff,))
+               for atoms, coeff in b.terms.items()]
+    wedge = [(atoms_a + atoms_c, (ca, cc)) for atoms_a, ca in a.terms.items()
+             for atoms_c, cc in c.terms.items()]
+    for got, products in ((a + b, a_items + b_items),
+                          (a - b, a_items + minus_b), (fm.wedge(a, c), wedge)):
+        assert {atoms: sp.srepr(coeff) for atoms, coeff in got.terms.items()
+                } == _summed_one_by_one(products)

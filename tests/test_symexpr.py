@@ -399,3 +399,31 @@ def test_memo_table_stays_bounded(monkeypatch):
     assert 0 < max(sizes) <= 32
     assert any(b < a for a, b in zip(sizes, sizes[1:]))  # wiped when full
     assert not hasattr(symexpr, "_PD_CACHE")
+
+
+@st.composite
+def _atom_records(draw):
+    """An opaque atom over distinct symbol slots, or a derivative record
+    of one, and one of its slots."""
+    slots = draw(st.lists(st.sampled_from(_SYMS), min_size=1, max_size=4,
+                          unique=True))
+    f = sp.Function(draw(st.sampled_from("FGL")))(*slots)
+    wrt = draw(st.lists(st.sampled_from(slots), max_size=4))
+    return (sp.diff(f, *wrt) if wrt else f), draw(st.sampled_from(slots))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_atom_records())
+def test_atom_partial_is_the_unevaluated_derivative(case):
+    e, s = case
+    counts = {}
+    if isinstance(e, sp.Derivative):
+        counts = {v: int(c) for v, c in e.variable_count}
+    counts[s] = counts.get(s, 0) + 1
+    pairs = sorted(counts.items(), key=lambda p: sp.default_sort_key(p[0]))
+    base = e.expr if isinstance(e, sp.Derivative) else e
+    expected = sp.Derivative(base, *pairs, evaluate=False)
+    got = symexpr._atom_partial(e, s)
+    assert got == expected and hash(got) == hash(expected)
+    assert sp.srepr(got) == sp.srepr(expected)
+    assert got == sp.diff(e, s)

@@ -60,6 +60,26 @@ def test_euler_lagrange_opaque_is_classical_formula(mech):
     assert sp.expand(coeff + expected) == 0 or sp.expand(coeff - expected) == 0
 
 
+def test_integration_by_parts_differentiates_each_slot_once(monkeypatch):
+    # EL of an opaque L on (n, m, r) = (2, 2, 2): the slots omega^s_J with
+    # 1 <= |J| <= 2 are 5 per fibre coordinate, and each is differentiated
+    # once after its children are added in (stripping every slot's J down
+    # to the empty index separately takes sum |J| = 8 per coordinate)
+    space = JetSpace(("t", "x"), ("u", "v"))
+    slots = [space.symbol(c) for c in enumerate_coordinates(space, 2)]
+    lam = symexpr.opaque("L", *slots) * fm.omega0(space)
+    calls = []
+    td_contact = vr._td_contact
+
+    def counted(*args):
+        calls.append(args)
+        return td_contact(*args)
+
+    monkeypatch.setattr(vr, "_td_contact", counted)
+    vr.euler_lagrange(lam)
+    assert len(calls) == 10
+
+
 def _mechanics_contact_source(space, order):
     """rho = sum_j A^j(t, q..j+?) omega_(j) ^ dt with opaque A^j."""
     t = space.base_symbol(1)
@@ -242,6 +262,19 @@ def test_trivial_lagrangian_base_part_refused(base_part):
     lam = (sp.Symbol("q_t") + base_part) * fm.dx(_MECH, 1)
     with Budget(5), pytest.raises(vr.NonPolynomialError, match="base part"):
         vr.is_variationally_trivial(lam)
+
+
+@pytest.mark.parametrize("f", [
+    -6 * _T, 3 * _X**2, 5 - 2 * _T**2, 3 * _T * _X**2 / 2,
+    sp.Symbol("a") * _T**3 - _X, 2 * _T * sp.sin(_X), sp.Integer(7),
+])
+def test_base_primitive_matches_manualintegrate(f):
+    # polynomials in t are integrated as such, with the same primitive
+    from sympy.integrals.manualintegrate import manualintegrate
+    G = manualintegrate(f, _T)
+    got = vr._base_primitive(f * fm.omega0(_PLANE))
+    assert sp.srepr(sp.expand(got.coefficient((Dx(2),)))) \
+        == sp.srepr(sp.expand(G - G.subs(_T, 0)))
 
 
 @pytest.mark.parametrize("coeff", [
