@@ -11,7 +11,8 @@ Statements are ``;``-terminated::
 Form expressions combine scalars (rationals, parameters, coordinates,
 constants such as ``pi`` and ``E``, opaque calls, the functions of
 ``symexpr.FUNCTIONS``) with the coframe atoms ``d(x)`` and ``w(y,[J])``
-through ``* / + - **`` and the wedge ``^``.  Binding is tightest first:
+through ``* / + - **`` and the wedge ``^``; no coordinate, parameter
+or opaque may take a constant's name.  Binding is tightest first:
 ``**``, then unary ``-``, then ``* /``, then ``^``, then ``+ -``; so
 ``a * w(q)^d(t)`` is ``(a*w(q))^d(t)``.  ``d`` of a fibre coordinate
 expands through the contact basis.  Multi-indices are bracketed
@@ -173,20 +174,22 @@ class _Parser:
             raise DslError("space must be declared first", tok.line, tok.col)
         return self.model
 
-    def parse_names_until(self, terminator: str) -> list[str]:
-        return [t.text for t in self.parse_list(terminator, self.expect_name)]
-
     def parse_space(self, tok: _Token) -> None:
         if self.model is not None:
             raise DslError("duplicate space declaration", tok.line, tok.col)
         self.expect("{")
         self.expect("base")
-        base = self.parse_names_until(";")
+        base = self.parse_list(";", self.expect_name)
         self.expect("fibre")
-        fibre = self.parse_names_until(";")
+        fibre = self.parse_list(";", self.expect_name)
         self.expect("}")
+        for name in base + fibre:
+            if _is_constant(name.text):
+                raise DslError("coordinate %r shadows a constant" % name.text,
+                               name.line, name.col)
         try:
-            space = JetSpace(tuple(base), tuple(fibre))
+            space = JetSpace(tuple(t.text for t in base),
+                             tuple(t.text for t in fibre))
         except ValueError as exc:
             raise DslError(str(exc), tok.line, tok.col) from exc
         self.model = ModelFile(space)
@@ -201,8 +204,7 @@ class _Parser:
                 ("a coordinate", model.space.coordinate_of(sp.Symbol(name))),
                 ("a parameter", opaque and name in model.params),
                 ("an opaque", name in model.opaques),
-                ("a constant",
-                 isinstance(getattr(sp, name, None), sp.NumberSymbol)),
+                ("a constant", _is_constant(name)),
                 ("a function", opaque and name in symexpr.FUNCTIONS),
                 ("a builtin", opaque and name in ("d", "w", "D"))):
             if taken:
@@ -211,7 +213,7 @@ class _Parser:
 
     def parse_param(self, tok: _Token) -> None:
         model = self.require_model(tok)
-        names = self.parse_names_until(";")
+        names = [t.text for t in self.parse_list(";", self.expect_name)]
         for name in names:
             self.check_new_name("parameter", name, tok)
         model.params = model.params + tuple(names)
@@ -499,6 +501,11 @@ class _Parser:
 def _not_a_field(name: _Token) -> DslError:
     return DslError("field %r must be a sum of <expr> * D(<coord>) terms"
                     % name.text, name.line, name.col)
+
+
+def _is_constant(name: str) -> bool:
+    """Whether sympy reads ``name`` as a constant such as pi or E."""
+    return isinstance(getattr(sp, name, None), sp.NumberSymbol)
 
 
 def _check_finite_real(coeffs, what: str, name: _Token) -> None:

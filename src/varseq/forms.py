@@ -118,11 +118,11 @@ class Form:
                      else sp.sympify(coeff))
             if not _checked:
                 # user-facing path: canonicalize eagerly
+                if len(atoms) != degree:
+                    raise ValueError("atom count does not match degree")
                 coeff = sp.expand(coeff)
                 if coeff == 0:
                     continue
-                if len(atoms) != degree:
-                    raise ValueError("atom count does not match degree")
                 srt = _sort_atoms(atoms)
                 if srt is None:
                     continue
@@ -384,8 +384,8 @@ class AdaptedVectorField:
 
     The base part pairs only with dx atoms (d_i hook dx^j = delta); the
     vertical part pairs only with omega atoms (d/dy^sigma_J hook
-    omega^nu_K = delta delta).  Coordinate-frame fields are converted by
-    the horizontal/vertical split in the prolong module.
+    omega^nu_K = delta delta).  The prolong module builds prolonged
+    fields in this frame directly, from their characteristic.
     """
 
     space: JetSpace

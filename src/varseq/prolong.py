@@ -1,9 +1,12 @@
 """Vector fields, jet prolongation, Lie derivatives, and currents.
 
-Projectable (and generalized) vector fields are prolonged to jets by
-the recursion Xi^sigma_{Ji} = d_i Xi^sigma_J - y^sigma_{Jl} dxi^l/dx^i.
-Lie derivatives use the Cartan formula in the contact-adapted frame,
-where the horizontal/vertical split of a prolonged field is immediate.
+A projectable (or generalized) field xi^i d/dx^i + Xi^sigma d/dy^sigma
+is prolonged through its characteristic Q^sigma = Xi^sigma - y^sigma_i xi^i:
+J^r Xi = xi^i d_i + V^sigma_J d/dy^sigma_J with V^sigma_J = d_J Q^sigma,
+which is the field in the contact-adapted frame (Olver, Applications
+of Lie Groups to Differential Equations, 2.3 and 5.1).  Lie derivatives
+use the Cartan formula in that frame, where the horizontal/vertical
+split of a prolonged field is immediate.
 The classical first-variation decomposition, Noether currents, and the
 variational Lie-derivative identities are provided as exact
 constructions and checkable residues.
@@ -75,83 +78,65 @@ class ProjectableVectorField:
                 raise ValueError("Xi components may not depend on jet "
                                  "coordinates unless generalized")
 
-    def is_vertical(self) -> bool:
-        return not self.xi
-
 
 @dataclass(frozen=True)
 class ProlongedVectorField:
-    """J^r Xi with components xi^i and Xi^sigma_J for |J| <= r."""
+    """J^r Xi = xi^i d_i + V^sigma_J d/dy^sigma_J for |J| <= r.
+
+    ``vertical`` holds the prolonged characteristic V^sigma_J = d_J Q^sigma,
+    Q^sigma = Xi^sigma - y^sigma_i xi^i: the pairings of J^r Xi with the
+    contact coframe.  Zero components are not stored.
+    """
 
     space: JetSpace
     order: int
     xi: Mapping[int, sp.Expr]
-    components: Mapping[tuple[int, MultiIndex], sp.Expr]
+    vertical: Mapping[tuple[int, MultiIndex], sp.Expr]
 
     def component(self, sigma: int, J: MultiIndex = MultiIndex()) -> sp.Expr:
-        return self.components.get((sigma, J), sp.Integer(0))
+        """The coordinate-frame component Xi^sigma_J = V^sigma_J
+        + y^sigma_{Ji} xi^i."""
+        return self.vertical.get((sigma, J), sp.Integer(0)) + sp.Add(
+            *(self.space.fibre_symbol(sigma, J.append(i)) * x
+              for i, x in self.xi.items()))
 
 
 def prolong(X: ProjectableVectorField, r: int) -> ProlongedVectorField:
     """The r-th jet prolongation of a projectable field.
 
-    Components follow Xi^sigma_{Ji} = d_i Xi^sigma_J
-    - y^sigma_{Jl} dxi^l/dx^i; the recursion is consistent across the
-    different splittings of a canonical multi-index because total
-    derivatives commute.
+    V^sigma_{Ki} = d_i V^sigma_K from V^sigma = Q^sigma, one index at a
+    time: total derivatives commute, so any splitting of a canonical
+    multi-index gives the same component.
     """
     if r < 0:
         raise ValueError("prolongation order must be >= 0")
     space = X.space
-    comps: dict[tuple[int, MultiIndex], sp.Expr] = {}
-    # dxi^l/dx^i for the l with a base component xi^l
-    dxi = {i: [(l, symexpr.partial(space, X.xi[l], space.base_symbol(i)))
-               for l in sorted(X.xi)] for i in range(1, space.n + 1)}
+    V: dict[tuple[int, MultiIndex], sp.Expr] = {}
     for sigma in range(1, space.m + 1):
-        comps[(sigma, MultiIndex())] = X.Xi.get(sigma, sp.Integer(0))
-    for k in range(r):
-        for sigma in range(1, space.m + 1):
-            for J in multiindices(space.n, k):
-                base = comps[(sigma, J)]
-                for i in range(1, space.n + 1):
-                    K = J.append(i)
-                    if (sigma, K) in comps:
-                        continue
-                    out = symexpr.total_derivative(space, base, i)
-                    for l, d in dxi[i]:
-                        if d != 0:
-                            out -= space.fibre_symbol(sigma, J.append(l)) * d
-                    comps[(sigma, K)] = out
-    comps = {key: e for key, e in comps.items() if e != 0}
-    return ProlongedVectorField(space, r, dict(X.xi), comps)
+        V[(sigma, MultiIndex())] = X.Xi.get(sigma, sp.Integer(0)) - sp.Add(
+            *(space.fibre_symbol(sigma, MultiIndex((i,))) * x
+              for i, x in X.xi.items()))
+        for k in range(1, r + 1):
+            for K in multiindices(space.n, k):
+                J, i = K.drop_last()
+                V[(sigma, K)] = symexpr.total_derivative(
+                    space, V[(sigma, J)], i)
+    V = {key: e for key, e in V.items() if e != 0}
+    return ProlongedVectorField(space, r, dict(X.xi), V)
 
 
 def split_HV(Z: ProlongedVectorField) -> tuple[AdaptedVectorField,
                                                AdaptedVectorField]:
-    """Z = Z_H + Z_V along the projection, in the adapted frame.
-
-    Z_H = xi^i d_i; Z_V has vertical components
-    Xi^sigma_J - y^sigma_{Ji} xi^i, which are exactly the pairings of Z
-    against the contact coframe.
-    """
-    space = Z.space
-    Z_H = AdaptedVectorField(space, dict(Z.xi), {})
-    vertical: dict[tuple[int, MultiIndex], sp.Expr] = {}
-    for sigma in range(1, space.m + 1):
-        for k in range(Z.order + 1):
-            for J in multiindices(space.n, k):
-                comp = Z.component(sigma, J)
-                for i, x in Z.xi.items():
-                    comp = comp - space.fibre_symbol(sigma, J.append(i)) * x
-                if comp != 0:
-                    vertical[(sigma, J)] = comp
-    return Z_H, AdaptedVectorField(space, {}, vertical)
+    """Z = Z_H + Z_V along the projection, in the adapted frame: Z_H =
+    xi^i d_i, and Z_V has the characteristic components V^sigma_J.
+    Both share Z's mappings."""
+    return (AdaptedVectorField(Z.space, Z.xi, {}),
+            AdaptedVectorField(Z.space, {}, Z.vertical))
 
 
 def adapted_field(Z: ProlongedVectorField) -> AdaptedVectorField:
     """The full field in the adapted frame {d_i, contact verticals}."""
-    Z_H, Z_V = split_HV(Z)
-    return AdaptedVectorField(Z.space, dict(Z_H.base), dict(Z_V.vertical))
+    return AdaptedVectorField(Z.space, Z.xi, Z.vertical)
 
 
 def _prolonged(X: Union[ProjectableVectorField, ProlongedVectorField],
@@ -187,7 +172,7 @@ def noether_current(rho: Form,
         verdict = variational.is_lepage(rho)
         if verdict is False:
             raise ValueError("noether_current expects a Lepage form")
-    Z = _prolonged(X, max(rho.order - 1, 0) if rho.order else 0)
+    Z = _prolonged(X, max(rho.order - 1, 0))
     full = fm.contract(adapted_field(Z), rho)
     return fm.horizontalize(full), full
 
@@ -262,14 +247,11 @@ def krbek_identity_check(X: Union[ProjectableVectorField,
 
     Xi must be vertical; the contract is residue = 0.
     """
-    if isinstance(X, ProjectableVectorField) and not X.is_vertical():
+    if X.xi:
         raise ValueError("the identity holds for vertical fields")
     if not 1 <= i <= rho.degree:
         raise ValueError("contact degree out of range")
-    Z = _prolonged(X, rho.order + 1)
-    V = adapted_field(Z)
-    if V.base:
-        raise ValueError("the identity holds for vertical fields")
+    V = adapted_field(_prolonged(X, rho.order + 1))
     p_i = fm.contact_component(rho, i)
     t1 = fm.contract(V, fm.d_H(p_i))
     t2 = fm.d_H(fm.contract(V, p_i))
@@ -312,12 +294,7 @@ def nbh_current(X: Union[ProjectableVectorField, ProlongedVectorField],
             raise ValueError("cannot decide whether the field is a "
                              "class-level symmetry")
     out = current - beta
-    # E-multiples: d_H(current - beta) = -Xi_V^sigma E_sigma omega_0
-    Z = _prolonged(X, max(out.order + 1, 1))
-    _, Z_V = split_HV(Z)
-    multiples = {}
-    for sigma in range(1, space.m + 1):
-        comp = Z_V.vertical.get((sigma, MultiIndex()))
-        if comp is not None and comp != 0:
-            multiples[sigma] = -comp
+    # E-multiples: d_H(current - beta) = -Q^sigma E_sigma omega_0
+    multiples = {sigma: -Q for (sigma, J), Q
+                 in _prolonged(X, 0).vertical.items() if not J}
     return out, multiples

@@ -65,6 +65,10 @@ FORM = HEAD + "form f : degree 1 order 1 = "
      1, 17),
     ("space { base t, t; fibre q; }",
      "coordinate names must be pairwise distinct", 1, 1),
+    ("space { base t; fibre E; }", "coordinate 'E' shadows a constant",
+     1, 23),
+    ("space { base pi; fibre q; }", "coordinate 'pi' shadows a constant",
+     1, 14),
     (HEAD + "param q;", "parameter 'q' shadows a coordinate", 2, 1),
     (HEAD + "param m E;", "parameter 'E' shadows a constant", 2, 1),
     (HEAD + "opaque L(t);\nparam L;", "parameter 'L' shadows an opaque",

@@ -269,6 +269,8 @@ def test_leibniz_rule_random(seed):
 def test_degree_and_order_validation(mech):
     with pytest.raises(ValueError):
         Form(mech, 1, {(Dx(1), Dx(1)): sp.Integer(1)})
+    with pytest.raises(ValueError, match="atom count"):
+        Form(mech, 1, {(Dx(1), Dx(1)): sp.Integer(0)})
     with pytest.raises(ValueError):
         Form(mech, 1, {(Dx(1),): sp.Symbol("q_t")}, order=0)
 

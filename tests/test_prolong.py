@@ -44,18 +44,42 @@ def test_prolong_time_translation_split(mech):
     assert ZV.vertical[(1, J1)] == -qtt
 
 
-def test_prolong_classical_formula_field_theory(field2):
-    # oracle: first prolongation components d_i Xi - y_j dxi/dx_i
+def _count_partials(monkeypatch):
+    """Count the symexpr.partial calls made from here on."""
+    calls = [0]
+    partial = symexpr.partial
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return partial(*args, **kwargs)
+
+    monkeypatch.setattr(symexpr, "partial", counted)
+    return calls
+
+
+def test_prolong_classical_formula_field_theory(field2, monkeypatch):
+    # oracle: the classical recursion Xi^s_{Ji} = d_i Xi^s_J
+    # - y^s_{Jl} dxi^l/dx^i, to second order
     t, x = field2.base_symbol(1), field2.base_symbol(2)
     v = field2.fibre_symbol(1)
-    xi1, Xi1 = t * x, v**2
-    X = pr.ProjectableVectorField(field2, {1: xi1}, {1: Xi1, 2: v})
-    Z = pr.prolong(X, 1)
-    for i, Ji in ((1, J1), (2, MultiIndex((2,)))):
-        vi = field2.fibre_symbol(1, Ji)
-        expected = symexpr.total_derivative(field2, Xi1, i) \
-            - field2.fibre_symbol(1, J1) * sp.diff(xi1, (t, x)[i - 1])
-        assert sp.expand(Z.component(1, Ji) - expected) == 0
+    xi = {1: t * x}
+    X = pr.ProjectableVectorField(field2, xi, {1: v**2, 2: v})
+    calls = _count_partials(monkeypatch)
+    Z = pr.prolong(X, 2)
+    # the characteristic recursion takes no base partials of xi
+    assert calls[0] == 0
+    expected = {}
+    for s in (1, 2):
+        expected[(s, MultiIndex())] = X.Xi[s]
+        for J in (MultiIndex(), J1, MultiIndex((2,))):
+            for i in (1, 2):
+                shift = sum(field2.fibre_symbol(s, J.append(l))
+                            * sp.diff(e, (t, x)[i - 1]) for l, e in xi.items())
+                expected.setdefault((s, J.append(i)), symexpr.total_derivative(
+                    field2, expected[(s, J)], i) - shift)
+    assert len(expected) == 12
+    for (s, J), e in expected.items():
+        assert sp.expand(Z.component(s, J) - e) == 0
 
 
 def test_lie_derivative_of_symmetry_vanishes(mech, free_particle):
@@ -102,14 +126,7 @@ def test_first_variation_takes_only_p1_of_d_theta(field2, monkeypatch):
     theta = vr.cartan_form(lam)
     V = pr.adapted_field(pr.prolong(X, theta.order + 1))
     full = fm.horizontalize(fm.contract(V, fm.exterior_d(theta)))
-    calls = [0]
-    partial = symexpr.partial
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return partial(*args, **kwargs)
-
-    monkeypatch.setattr(symexpr, "partial", counted)
+    calls = _count_partials(monkeypatch)
     vr.cartan_form(lam)
     pr.prolong(X, theta.order + 1)
     setup, calls[0] = calls[0], 0
@@ -126,14 +143,7 @@ def test_prolong_of_vertical_field_takes_no_base_partials(field2,
     v, w = field2.fibre_symbol(1), field2.fibre_symbol(2)
     Xi = {1: v * w, 2: field2.base_symbol(1) * v}
     X = pr.ProjectableVectorField(field2, {}, Xi)
-    calls = [0]
-    partial = symexpr.partial
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return partial(*args, **kwargs)
-
-    monkeypatch.setattr(symexpr, "partial", counted)
+    calls = _count_partials(monkeypatch)
     Z = pr.prolong(X, 2)
     assert calls[0] == 0
     for sigma, e in Xi.items():
@@ -186,6 +196,19 @@ def test_nbh_current_falling_body_boost(mech):
     eps = E * fm.wedge(fm.omega(mech, 1), fm.dx(mech, 1))
     X = pr.ProjectableVectorField(mech, {}, {1: t})
     current, multiples = pr.nbh_current(X, eps)
+    E_sigma = eps.coefficient((fm.Omega(1), fm.Dx(1)))
+    rhs = multiples[1] * E_sigma * fm.omega0(mech)
+    assert fm.d_H(current).equals(rhs) is True
+
+
+def test_nbh_current_falling_body_time_translation(mech):
+    # xi = 1: the multiple is -Q = q_t, not read off Xi
+    qt, qtt = sp.symbols("q_t q_tt")
+    m, g = sp.Rational(3, 2), sp.Rational(7, 4)
+    eps = (-m * qtt - m * g) * fm.wedge(fm.omega(mech, 1), fm.dx(mech, 1))
+    X = pr.ProjectableVectorField(mech, {1: sp.Integer(1)}, {})
+    current, multiples = pr.nbh_current(X, eps)
+    assert multiples == {1: qt}
     E_sigma = eps.coefficient((fm.Omega(1), fm.Dx(1)))
     rhs = multiples[1] * E_sigma * fm.omega0(mech)
     assert fm.d_H(current).equals(rhs) is True
