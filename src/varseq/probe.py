@@ -67,7 +67,7 @@ def random_assignment(space: JetSpace, order: int, cfg: ProbeConfig,
 
 def _symbols(space: JetSpace, order: int, params: tuple) -> list:
     return [space.symbol(c) for c in enumerate_coordinates(space, order)] \
-        + [sp.Symbol(str(p)) for p in params]
+        + [sp.Symbol(p) if isinstance(p, str) else p for p in params]
 
 
 def _draw(space, order, cfg, symbols, trial) -> dict:

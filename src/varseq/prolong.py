@@ -214,7 +214,7 @@ def symmetry_check(X: Union[ProjectableVectorField, ProlongedVectorField],
     L = lie_derivative(X, form)
     if form.degree > form.space.n:
         L = variational.interior_euler(L).form
-    return L.equals(fm.zero(form.space, form.degree + 0))
+    return L.is_zero()
 
 
 def higher_lie_identity_check(X: Union[ProjectableVectorField,

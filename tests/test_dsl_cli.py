@@ -538,6 +538,19 @@ def test_cli_tonti_unknown_verdict_exits_zero(tmp_path, capsys):
     assert not list(_output_validator().iter_errors(payload))
 
 
+def test_cli_el_of_a_hidden_zero_contact_term(tmp_path, capsys):
+    # an undecided contact coefficient does not make lambda non-horizontal
+    header = "space { base t; fibre q; }\nform lam : degree 1 order 1 = "
+    outs = []
+    for name, body in (("plain", "q_t**2 * d(t)"),
+                       ("hidden", "q_t**2 * d(t)"
+                        " + (sin(q)**2 + cos(q)**2 - 1) * w(q)")):
+        path = tmp_path / ("%s.jv" % name)
+        path.write_text(header + body + ";\n")
+        outs.append(run_cli(capsys, "el", str(path)))
+    assert outs[1] == outs[0] == (0, "(2*q_tt) * d(t)^w(q)\n", "")
+
+
 _TOKEN = re.compile(r"\*\*|\w+|\S")
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varseq import forms as fm
-from varseq import symexpr, variational as vr
+from varseq import probe, symexpr, variational as vr
 from varseq.forms import Form, Omega, Dx
 from varseq.jet_space import JetSpace, MultiIndex, enumerate_coordinates
 
@@ -407,6 +407,85 @@ def test_residual_check_catches_a_wrong_residual(mech, monkeypatch):
         vr.cartan_form(lam)
 
 
+def _doubled_base_primitive(monkeypatch):
+    base_primitive = vr._base_primitive
+    monkeypatch.setattr(vr, "_base_primitive",
+                        lambda rho: 2 * base_primitive(rho))
+
+
+def test_primitive_check_probes_an_unknown_verdict(monkeypatch):
+    # d_H(primitive) = lambda is undecided exactly for sin(t)**2; the
+    # seeded probe finds the doubled primitive wrong and names its witness
+    _doubled_base_primitive(monkeypatch)
+    lam = sp.sin(_T)**2 * fm.dx(_MECH, 1)
+    with pytest.raises(AssertionError, match=r"primitive verification .*"
+                       r"probe unequal, seed 0, witness \{t: "):
+        vr.is_variationally_trivial(lam)
+
+
+def test_primitive_check_exact_false_message(monkeypatch):
+    _doubled_base_primitive(monkeypatch)
+    with pytest.raises(AssertionError) as err:
+        vr.is_variationally_trivial(_T**2 * fm.dx(_MECH, 1))
+    assert str(err.value) == "primitive verification failed (internal error)"
+
+
+def test_source_primitive_check_catches_a_wrong_homotopy(mech, monkeypatch):
+    homotopy = vr.contact_homotopy
+    monkeypatch.setattr(vr, "contact_homotopy", lambda rho: 2 * homotopy(rho))
+    eps = -sp.Symbol("q_tt") * fm.wedge(fm.omega(mech, 1), fm.dx(mech, 1))
+    with pytest.raises(AssertionError) as err:
+        vr.is_variationally_trivial(eps)
+    assert str(err.value) == "primitive verification failed (internal error)"
+
+
+def test_reduced_helmholtz_check_catches_a_wrong_helmholtz(mech, monkeypatch):
+    q, qt = sp.symbols("q q_t")
+    eps = q * qt * fm.wedge(fm.omega(mech, 1), fm.dx(mech, 1))
+    assert vr.reduced_helmholtz_mechanics(eps)[0].is_zero() is False
+    helmholtz = vr.helmholtz
+    monkeypatch.setattr(vr, "helmholtz", lambda e: vr.SourceForm(
+        2 * helmholtz(e).form, 2))
+    with pytest.raises(AssertionError) as err:
+        vr.reduced_helmholtz_mechanics(eps)
+    assert str(err.value) == "reduced Helmholtz relation failed (internal error)"
+
+
+def test_self_check_cannot_probe_opaque_atoms(mech, monkeypatch):
+    # an unknown verdict on a residue the probe cannot evaluate is an
+    # internal error, not the probe's ValueError (which the CLI reports
+    # as a refused input); the doubled R leaves the opaque L in it
+    ibp = vr._integrate_by_parts
+
+    def doubled(rho, with_residual):
+        k, mu, I, R = ibp(rho, with_residual)
+        return k, mu, I, None if R is None else 2 * R
+
+    monkeypatch.setattr(vr, "_integrate_by_parts", doubled)
+    monkeypatch.setattr(Form, "equals", lambda self, other: None)
+    t, q, qt = sp.symbols("t q q_t")
+    lam = symexpr.opaque("L", t, q, qt) * fm.dx(mech, 1)
+    with pytest.raises(AssertionError, match=r"residual defining identity "
+                       r"failed \(internal error\) \(probe unknown, seed 0, "
+                       r"witness \{'__error__': .opaque atoms"):
+        vr.cartan_form(lam)
+
+
+@pytest.mark.parametrize("base_part", [
+    sp.sin(_T)**2, sp.cos(_T)**3, sp.tan(_T), sp.Symbol("a") * sp.sin(_T)**2,
+    sp.Symbol("a", positive=True) * sp.sin(_T)**2,
+], ids=["sin2", "cos3", "tan", "a-sin2", "positive-a-sin2"])
+def test_true_primitive_with_unknown_exact_check_passes_the_probe(base_part):
+    lam = base_part * fm.dx(_MECH, 1)
+    flag, primitive = vr.is_variationally_trivial(lam)
+    assert flag is True
+    assert fm.d_H(primitive).equals(lam) is None
+    params = tuple(base_part.free_symbols - {_T})
+    verdict = probe.forms_equal_probabilistic(
+        fm.d_H(primitive), lam, probe.ProbeConfig(seed=1), params=params)
+    assert verdict.status == "equal"
+
+
 def test_perturbed_cartan_form_not_lepage_field_theory(field2):
     slots = [field2.symbol(c) for c in enumerate_coordinates(field2, 1)]
     lam = symexpr.opaque("L", *slots) * fm.omega0(field2)
@@ -467,3 +546,14 @@ def test_helmholtz_rejects_wrong_degree(mech):
 def test_euler_lagrange_rejects_wrong_degree(mech):
     with pytest.raises(ValueError):
         vr.euler_lagrange(fm.omega(mech, 1))
+
+
+def test_euler_lagrange_of_a_hidden_zero_contact_term(mech):
+    # the contact coefficient is 0 but undecided exactly; E(lambda)
+    # depends only on h(lambda), so E is that of q_t**2 d(t)
+    q, qt = sp.symbols("q q_t")
+    horizontal = qt**2 * fm.dx(mech, 1)
+    lam = horizontal + (sp.sin(q)**2 + sp.cos(q)**2 - 1) * fm.omega(mech, 1)
+    assert fm.contact_component(lam, 0).equals(lam) is None
+    el = vr.euler_lagrange(lam)
+    assert el.form.equals(vr.euler_lagrange(horizontal).form) is True
