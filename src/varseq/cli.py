@@ -27,7 +27,8 @@ __all__ = ["main", "run"]
 
 
 class UsageError(ValueError):
-    """Bad invocation (missing names, wrong counts); exits with code 1."""
+    """Bad invocation (missing names, wrong counts, bad option values);
+    exits with code 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -133,6 +134,8 @@ def _first_variation(args, model, rho, X) -> dict:
 
 
 def _probe(args, model, a, b) -> dict:
+    if args.probe_trials < 1:
+        raise UsageError("--probe-trials must be >= 1")
     cfg = probe.ProbeConfig(seed=args.seed, trials=args.probe_trials)
     verdict = probe.forms_equal_probabilistic(a, b, cfg, params=model.params)
     out = {"probe": verdict.status}
@@ -177,6 +180,9 @@ def run(command: str, model: dsl.ModelFile, args) -> dict:
     if needs_field:
         operands.append(_pick_field(model, args.field))
     elif count == 1 and args.order is not None:
+        if args.order < operands[0].order:
+            raise UsageError("--order %d is below the form's order %d"
+                             % (args.order, operands[0].order))
         operands[0] = fm.lift(operands[0], args.order)
     return handler(args, model, *operands)
 

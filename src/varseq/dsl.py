@@ -14,7 +14,10 @@ constants such as ``pi`` and ``E``, opaque calls, the functions of
 through ``* / + - **`` and the wedge ``^``; no coordinate, parameter
 or opaque may take a constant's name.  Binding is tightest first:
 ``**``, then unary ``-``, then ``* /``, then ``^``, then ``+ -``; so
-``a * w(q)^d(t)`` is ``(a*w(q))^d(t)``.  ``d`` of a fibre coordinate
+``a * w(q)^d(t)`` is ``(a*w(q))^d(t)``.  A jet coordinate is spelled
+only ``<fibre>_<base names>`` with its indices in declared base order
+(``u_tx`` over ``base t x``; ``u_xt`` and ``q_`` are unknown), and no
+base name may be a prefix of another.  ``d`` of a fibre coordinate
 expands through the contact basis.  Multi-indices are bracketed
 base-name lists; unsorted input is canonicalized with a warning.  Commas
 in lists (names, opaque slots and arguments, multi-indices) are

@@ -171,14 +171,7 @@ class Form:
 
     def canonical(self) -> "Form":
         """Expand all coefficients and prune zero terms."""
-        terms = {}
-        for atoms, coeff in self.terms.items():
-            coeff = sp.expand(coeff)
-            if coeff != 0:
-                terms[atoms] = coeff
-        out = Form(self.space, self.degree, terms, order=self.order,
-                   _checked=True)
-        return out
+        return Form(self.space, self.degree, self.terms, order=self.order)
 
     def contact_count(self, atoms: tuple[Atom, ...]) -> int:
         return sum(1 for a in atoms if isinstance(a, Omega))

@@ -6,6 +6,12 @@ jet coordinates y^sigma_J for canonical multi-indices J.  Multi-indices
 are stored in non-decreasing order and carry no multiplicity weights;
 every sum over |J| elsewhere in the package runs over canonical
 multi-indices.
+
+Names and coordinates are in bijection.  y^sigma_J is spelled only
+``<fibre>_<base names of J, in order>`` (``u_tx`` for J = (1, 2) over
+bases ``t, x``); an empty, unreadable or decreasing suffix (``u_``,
+``u_xt``) names no coordinate.  No base name may be a prefix of
+another, so a suffix reads left to right with one match at each step.
 """
 
 from __future__ import annotations
@@ -82,7 +88,7 @@ class JetCoordinate:
 # Jet orders of recently walked composite subexpressions, one table for
 # all spaces: id(expr) -> (expr, space, order).  An entry answers only
 # for that very object (holding it keeps its id from being reused) and
-# that space instance (equal spaces may hold different registries).
+# that space instance.
 # Identity, not sympy's ==, is also exact where == is coarser than the
 # free symbols: Subs(f(x), x, 1) == Subs(f(x), x, 2).  The bound is fixed
 # and process-wide, since every entry keeps an otherwise dead subtree
@@ -114,8 +120,9 @@ class JetSpace:
     """The fibred manifold R^n x R^m -> R^n with named coordinates.
 
     Jet coordinate symbols are plain sympy symbols named
-    ``<fibre>_<base letters>`` (for example ``q_tt`` or ``v_tx``); the
-    space resolves symbols back to :class:`JetCoordinate` values.
+    ``<fibre>_<base names>`` (for example ``q_tt`` or ``v_tx``); the
+    space resolves symbols back to :class:`JetCoordinate` values.  Base
+    names must be prefix-free.
     """
 
     def __init__(self, base_names: tuple[str, ...] | list[str],
@@ -133,11 +140,15 @@ class JetSpace:
             if not name.isidentifier() or "_" in name:
                 raise ValueError("coordinate names must be identifiers "
                                  "without underscores: %r" % (name,))
+        for a, b in itertools.permutations(base_names, 2):
+            if b.startswith(a):
+                raise ValueError("base name %r is a prefix of base name %r"
+                                 % (a, b))
         self.base_names = base_names
         self.fibre_names = fibre_names
         self.n = len(base_names)
         self.m = len(fibre_names)
-        self._symbols: dict[str, JetCoordinate] = {}
+        self._parsed: dict[str, Optional[JetCoordinate]] = {}
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, JetSpace)
@@ -156,9 +167,7 @@ class JetSpace:
     def base_symbol(self, i: int) -> sp.Symbol:
         if not 1 <= i <= self.n:
             raise ValueError("base index out of range: %r" % (i,))
-        name = self.base_names[i - 1]
-        self._register(name, JetCoordinate("base", i))
-        return sp.Symbol(name)
+        return sp.Symbol(self.base_names[i - 1])
 
     def fibre_symbol(self, sigma: int, J: MultiIndex = MultiIndex()) -> sp.Symbol:
         if not 1 <= sigma <= self.m:
@@ -168,20 +177,7 @@ class JetSpace:
         name = self.fibre_names[sigma - 1]
         if len(J):
             name += "_" + "".join(self.base_names[i - 1] for i in J.entries)
-        self._register(name, JetCoordinate("fibre", sigma, J))
         return sp.Symbol(name)
-
-    def _register(self, name: str, coord: JetCoordinate) -> None:
-        """Bind a constructed symbol name to its coordinate (first wins).
-
-        A name that parsing alone would resolve differently (for bases
-        ``t, tt`` the name ``u_ttt`` has three parses and resolves to
-        None) changes meaning here, so the jet-order memo is cleared.
-        """
-        if name not in self._symbols:
-            if self._parse_name(name) != coord:
-                _ORDER_MEMO.clear()
-            self._symbols[name] = coord
 
     def symbol(self, coord: JetCoordinate) -> sp.Symbol:
         if coord.kind == "base":
@@ -193,39 +189,26 @@ class JetSpace:
     def coordinate_of(self, symbol: sp.Symbol) -> Optional[JetCoordinate]:
         """Resolve a symbol to a coordinate of this space, else None."""
         name = symbol.name if isinstance(symbol, sp.Symbol) else str(symbol)
-        if name in self._symbols:
-            return self._symbols[name]
-        coord = self._parse_name(name)
-        if coord is not None:
-            self._symbols[name] = coord
-        return coord
+        if name not in self._parsed:
+            self._parsed[name] = self._parse_name(name)
+        return self._parsed[name]
 
     def _parse_name(self, name: str) -> Optional[JetCoordinate]:
         if name in self.base_names:
             return JetCoordinate("base", self.base_names.index(name) + 1)
-        if name in self.fibre_names:
-            return JetCoordinate("fibre", self.fibre_names.index(name) + 1)
-        if "_" not in name:
+        head, underscore, tail = name.partition("_")
+        if head not in self.fibre_names or (underscore and not tail):
             return None
-        head, _, tail = name.partition("_")
-        if head not in self.fibre_names:
-            return None
-        sigma = self.fibre_names.index(head) + 1
-        parses = self._parse_suffix(tail)
-        if len(parses) != 1:
-            return None
-        return JetCoordinate("fibre", sigma,
-                             MultiIndex(tuple(sorted(parses[0]))))
-
-    def _parse_suffix(self, tail: str) -> list[tuple[int, ...]]:
-        if tail == "":
-            return [()]
-        out = []
-        for i, base in enumerate(self.base_names, start=1):
-            if tail.startswith(base):
-                out.extend((i,) + rest
-                           for rest in self._parse_suffix(tail[len(base):]))
-        return out
+        entries: tuple[int, ...] = ()
+        while tail:
+            i = next((i for i, base in enumerate(self.base_names, start=1)
+                      if tail.startswith(base)), 0)
+            if i < max(entries, default=1):  # no base name, or decreasing
+                return None
+            entries += (i,)
+            tail = tail[len(self.base_names[i - 1]):]
+        return JetCoordinate("fibre", self.fibre_names.index(head) + 1,
+                             MultiIndex(entries))
 
     def jet_order(self, expr: sp.Expr) -> int:
         """Highest jet order among coordinates appearing in expr.
@@ -233,10 +216,7 @@ class JetSpace:
         Equals the maximum of ``coordinate_of(s).order`` over the
         ``free_symbols`` of expr (0 when none resolve), computed by one
         walk that memoizes composite subexpressions, by identity, in one
-        process-wide LRU table of at most 1024 entries.  The table is
-        cleared when ``base_symbol`` or ``fibre_symbol`` first registers
-        a name that parsing would resolve differently, the only event
-        that changes how a symbol resolves.
+        process-wide LRU table of at most 1024 entries.
         """
         return self._order_of(sp.sympify(expr))
 

@@ -65,6 +65,8 @@ FORM = HEAD + "form f : degree 1 order 1 = "
      1, 17),
     ("space { base t, t; fibre q; }",
      "coordinate names must be pairwise distinct", 1, 1),
+    ("space { base t tt; fibre q; }",
+     "base name 't' is a prefix of base name 'tt'", 1, 1),
     ("space { base t; fibre E; }", "coordinate 'E' shadows a constant",
      1, 23),
     ("space { base pi; fibre q; }", "coordinate 'pi' shadows a constant",
@@ -100,6 +102,10 @@ FORM = HEAD + "form f : degree 1 order 1 = "
     (FORM + "d(t) $;", "unexpected character '$'", 2, 34),
     (FORM + ") ;", "unexpected ')'", 2, 29),
     (FORM + "zz * d(t);", "unknown identifier 'zz'", 2, 29),
+    ("space { base t x; fibre u; }\n"
+     "form f : degree 2 order 2 = u_xt * d(t)^d(x);",
+     "unknown identifier 'u_xt'", 2, 29),
+    (FORM + "q_ * d(t);", "unknown identifier 'q_'", 2, 29),
     (FORM + "d(z);", "unknown coordinate 'z' in d(...)", 2, 31),
     (FORM + "w(t);", "unknown fibre coordinate 't'", 2, 31),
     (HEAD + "form f : degree 1 order 2 = w(q,[t,q]);",
@@ -417,6 +423,20 @@ def test_cli_exit_code_math_precondition(tmp_path, capsys):
     code, _, err = run_cli(capsys, "tonti", str(bad))
     assert code == 2
     assert "variational" in err
+
+
+def test_cli_order_below_the_form_is_usage_error(model_file, capsys):
+    code, _, err = run_cli(capsys, "el", model_file, "--form", "lam",
+                           "--order", "0")
+    assert code == 1
+    assert "--order" in err
+
+
+def test_cli_probe_trials_below_one_is_usage_error(model_file, capsys):
+    code, _, err = run_cli(capsys, "probe", model_file, "--form", "lam",
+                           "--form", "lam", "--probe-trials", "0")
+    assert code == 1
+    assert "--probe-trials" in err
 
 
 def test_cli_exit_code_missing_file(capsys):
